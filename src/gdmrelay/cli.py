@@ -22,13 +22,6 @@ from gdmrelay import analysis, harness, power
 from gdmrelay.detectors import count_ops
 from gdmrelay.harness import ExperimentConfig, run_ser_experiment
 
-_SIMULATE_KEYS = {
-    "relays", "mod", "K", "L", "detector", "snr", "seed", "threads",
-    "errors_min", "frames_max", "relay_mode", "genie_r", "sr_offset_db",
-    "rd_offset_db", "rho_n", "power", "out_dir", "csv", "json",
-}
-
-
 def _parse_snr_grid(text: str):
     """'start:step:stop' (inclusive) or a comma list of dB values."""
     try:
@@ -46,6 +39,12 @@ def _parse_snr_grid(text: str):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad SNR grid {text!r}; use start:step:stop or v1,v2,...")
+
+
+def _analyze_block_length(text: str) -> int:
+    if int(text) != 1:
+        raise argparse.ArgumentTypeError("the averaged closed forms are derived for L=1 only")
+    return 1
 
 
 def _add_simulate_args(p: argparse.ArgumentParser):
@@ -75,6 +74,22 @@ def _add_simulate_args(p: argparse.ArgumentParser):
                    help="JSON file of simulate options; overrides flags")
 
 
+def _config_value(action: argparse.Action, val):
+    """Check a config-file value against its flag's type; JSON types are not coerced."""
+    if val is None and action.default is None:
+        return None
+    if isinstance(val, list) and action.type is _parse_snr_grid:
+        val = ",".join(map(str, val))
+    allowed = {int: (int,), float: (int, float)}.get(
+        action.type, (bool,) if action.nargs == 0 else (str,))
+    if isinstance(val, bool) and allowed != (bool,) or not isinstance(val, allowed):
+        raise ValueError(f"expected {' or '.join(t.__name__ for t in allowed)}, got {val!r}")
+    val = action.type(val) if action.type else val
+    if action.choices is not None and val not in action.choices:
+        raise ValueError(f"expected one of {list(action.choices)}, got {val!r}")
+    return val
+
+
 def _load_config_file(path: str, args: argparse.Namespace, parser):
     try:
         with open(path) as fh:
@@ -83,15 +98,17 @@ def _load_config_file(path: str, args: argparse.Namespace, parser):
         parser.error(f"cannot read config file {path}: {exc}")
     if not isinstance(data, dict):
         parser.error(f"config file {path} must hold a JSON object")
-    unknown = set(data) - _SIMULATE_KEYS
+    simulate = argparse.ArgumentParser(add_help=False)
+    _add_simulate_args(simulate)
+    actions = {a.dest: a for a in simulate._actions if a.dest != "config"}
+    unknown = set(data) - set(actions)
     if unknown:
         parser.error(f"unknown config keys in {path}: {sorted(unknown)}")
     for key, val in data.items():
-        if key == "snr" and isinstance(val, str):
-            val = _parse_snr_grid(val)
-        elif key == "snr":
-            val = tuple(float(v) for v in val)
-        setattr(args, key, val)
+        try:
+            setattr(args, key, _config_value(actions[key], val))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"config key {key!r} in {path}: {exc}")
 
 
 def _cmd_simulate(args) -> int:
@@ -212,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="closed-form SER over an SNR grid")
     p.add_argument("--relays", type=int, default=2)
     p.add_argument("--mod", type=int, default=4)
-    p.add_argument("--L", type=int, default=1)
+    p.add_argument("--L", type=_analyze_block_length, default=1)
     p.add_argument("--power", type=float, default=1.0)
     p.add_argument("--sr-offset-db", type=float, default=0.0)
     p.add_argument("--snr", type=_parse_snr_grid, default=(0, 5, 10, 15, 20, 25, 30))
@@ -244,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_diversity)
 
     p = sub.add_parser("reproduce", help="rerun a canned figure experiment")
-    p.add_argument("--figure", required=True, choices=sorted(harness.FIGURE_PRESETS))
+    p.add_argument("--figure", required=True, choices=harness.FIGURE_IDS)
     p.add_argument("--scale", default="desk", choices=("desk", "full"))
     p.add_argument("--out-dir", default=None)
     p.add_argument("--seed", type=int, default=0)

@@ -9,12 +9,16 @@ Scalar functions (`relay_detect`, `nmld_detect`, ...) are the reference
 implementations used by the oracle tests; the `*_batch` variants vectorize
 the same decisions over arrays of symbols and are what the Monte Carlo
 harness calls.  Ties always break toward the lowest alphabet index.
+
+The coherent baseline in batch form is `nmld_detect_batch` on (y, h) pairs
+(sample and known fading coefficient) with scale 1, the alphabet times the
+amplitude and eta = log((1-eps)(M-1)/eps).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +39,6 @@ __all__ = [
     "nmld_detect_batch",
     "amld_detect_batch",
     "pld_detect_batch",
-    "coherent_baseline_detect_batch",
 ]
 
 EPSILON_FLOOR = 1e-12
@@ -287,7 +290,8 @@ def coherent_baseline_detect(y_sd, y_rd, h_sd, h_rd, noise_sd, noise_rd,
 # Batch inputs: y_*1 / y_*2 are the (k1, k2) sample arrays with shape
 # (..., K) for the direct link and (N, ..., K) stacked over relays; `scale`
 # and `etas` broadcast over the trailing symbol axis (they vary with the
-# RS/NS symbol type).  Returns 1-based index arrays of shape (..., K).
+# RS/NS symbol type).  For coherent pairs y_*2 is the fading coefficient,
+# shape (..., 1).  Returns 1-based index arrays of shape (..., K).
 
 
 def _batch_distances(y1, y2, scale, noise_var, points):
@@ -348,17 +352,3 @@ def pld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
     for q in range(2, m + 1):
         champ = np.where(llr(champ, q) < 0, q, champ)
     return champ
-
-
-def coherent_baseline_detect_batch(y_sd, y_rd, h_sd, h_rd, noise_sd, noise_rd,
-                                   epsilons, points, amplitude: float = 1.0) -> np.ndarray:
-    m = len(points)
-    ref_sd = np.asarray(h_sd)[..., None] * (amplitude * points)
-    totals = np.abs(np.asarray(y_sd)[..., None] - ref_sd) ** 2 / noise_sd
-    for i in range(len(y_rd)):
-        ref = np.asarray(h_rd[i])[..., None] * (amplitude * points)
-        f = np.abs(np.asarray(y_rd[i])[..., None] - ref) ** 2 / noise_rd[i]
-        eps = clamp_epsilon(epsilons[i])
-        floor = f.min(axis=-1) + math.log((1 - eps) * (m - 1) / eps)
-        totals += np.minimum(f, floor[..., None])
-    return np.argmin(totals, axis=-1).astype(np.int64) + 1

@@ -4,6 +4,11 @@ Simulates source encoding, quasi-static fading, relay detection and
 re-encoding, and destination detection for every point of an SNR sweep,
 accumulating symbol error counts until a stop rule is met.
 
+One pipeline (`_simulate_batch`) serves the differential schemes and the
+coherent reference.  A plan built once per SNR point holds the invariants and
+the two scheme-specific steps: the encoder and the (y1, y2) pairs the batch
+detectors compare, (y[k1], y[k2]) for differential and (y, h) for coherent.
+
 Reproducibility contract: random draws are keyed by
 (master_seed, point_index, batch_index) with a fixed frame-batch size, so
 results are bit-identical across runs and across worker counts.  Frames
@@ -17,14 +22,14 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
 from gdmrelay import analysis, detectors
 from gdmrelay.channel import ChannelRealization, NetworkTopology, complex_normal, substream
 from gdmrelay.detectors import clamp_epsilon, count_ops
-from gdmrelay.modulation import GdmFrameConfig, PowerAllocation, make_alphabet
+from gdmrelay.modulation import GdmFrameConfig, PowerAllocation, gdm_encode, make_alphabet
 from gdmrelay.power import optimize_power
 
 __all__ = [
@@ -142,163 +147,8 @@ def wilson_interval(errors: int, n: int, z: float = 1.959964) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# frame structure helpers (vectorized over a batch of frames)
+# per-point plan and the batch simulator
 # ---------------------------------------------------------------------------
-
-
-def _frame_pairs(k: int, l: int):
-    """(k1, k2, is_rs) index arrays for the K detected symbols of a frame."""
-    k1 = np.arange(1, k + 1)
-    b = k1 // l
-    is_rs = (k1 % l == 0)
-    k2 = np.where(is_rs, (b - 1) * l, b * l)
-    return k1, k2, is_rs
-
-
-def _encode_batch(info: np.ndarray, cfg: GdmFrameConfig, points: np.ndarray) -> np.ndarray:
-    """Batch differential encoding; rows are frames.  Returns (F, K+1) samples."""
-    f, k = info.shape
-    l, m = cfg.l_block, cfg.m
-    offsets = info - 1
-    if l == 1:
-        phase = np.concatenate(
-            [np.zeros((f, 1), dtype=np.int64), np.cumsum(offsets, axis=1) % m], axis=1)
-    else:
-        head_pos = np.arange(l, k + 1, l)
-        head_phase = np.concatenate(
-            [np.zeros((f, 1), dtype=np.int64),
-             np.cumsum(offsets[:, head_pos - 1], axis=1) % m], axis=1)
-        blocks = np.arange(k + 1) // l
-        phase = head_phase[:, blocks]
-        ns_cols = np.flatnonzero(~cfg.ref_mask())
-        phase[:, ns_cols] = (phase[:, ns_cols] + offsets[:, ns_cols - 1]) % m
-    amp = np.where(cfg.ref_mask(), math.sqrt(cfg.power.rho_r), math.sqrt(cfg.power.rho_n))
-    return amp * points[phase]
-
-
-def _destination_etas(cfg: ExperimentConfig, scale_sq: np.ndarray,
-                      epsilons: list[float]) -> np.ndarray:
-    """Per-relay per-symbol thresholds (N, K); eta scales with the pair type."""
-    log_terms = np.array([math.log((1 - e) * (cfg.m - 1) / e) for e in epsilons])
-    return log_terms[:, None] * (1.0 + scale_sq)[None, :]
-
-
-def _simulate_batch_noncoherent(cfg: ExperimentConfig, snr_db: float,
-                                epsilons: list[float],
-                                rng: np.random.Generator, n_frames: int,
-                                realization: ChannelRealization | None = None):
-    """Simulate ``n_frames`` frames at one SNR point; returns per-frame/symbol
-    correctness (F, K) boolean array (True = symbol error)."""
-    fc = cfg.frame_config()
-    pa = fc.power
-    topo = cfg.topology(snr_db)
-    alphabet = make_alphabet(cfg.m)
-    points = alphabet.points
-    k, l, n = cfg.k_frame, cfg.l_block, cfg.n_relays
-    k1, k2, is_rs = _frame_pairs(k, l)
-    scale = np.where(is_rs, 1.0, pa.ns_scale)
-
-    info = rng.integers(1, cfg.m + 1, size=(n_frames, k))
-    u_s = _encode_batch(info, fc, points)
-
-    if realization is None:
-        h_sd = complex_normal(rng, topo.snr_sd * topo.noise_sd, size=n_frames)
-        h_sr = [complex_normal(rng, topo.snr_sr[i] * topo.noise_sr[i], size=n_frames)
-                for i in range(n)]
-        h_rd = [complex_normal(rng, topo.snr_rd[i] * topo.noise_rd[i], size=n_frames)
-                for i in range(n)]
-    else:
-        h_sd = np.full(n_frames, realization.h_sd)
-        h_sr = [np.full(n_frames, realization.h_sr[i]) for i in range(n)]
-        h_rd = [np.full(n_frames, realization.h_rd[i]) for i in range(n)]
-
-    y_sd = h_sd[:, None] * u_s + complex_normal(rng, topo.noise_sd, size=(n_frames, k + 1))
-
-    forced = 0
-    if cfg.relay_mode == "genie-all":
-        forced = n
-    elif cfg.relay_mode == "genie-r":
-        forced = cfg.genie_r
-
-    y_rd1, y_rd2 = [], []
-    relay_one_det = None
-    for i in range(n):
-        y_sr = h_sr[i][:, None] * u_s + complex_normal(
-            rng, topo.noise_sr[i], size=(n_frames, k + 1))
-        det = detectors.relay_detect_batch(y_sr[:, k1], y_sr[:, k2], scale, points)
-        if i == 0:
-            relay_one_det = det
-        if i < forced:
-            det = info
-        u_r = _encode_batch(det, fc, points)
-        y = h_rd[i][:, None] * u_r + complex_normal(
-            rng, topo.noise_rd[i], size=(n_frames, k + 1))
-        y_rd1.append(y[:, k1])
-        y_rd2.append(y[:, k2])
-
-    if cfg.detector == "relay-only":
-        return relay_one_det != info
-
-    etas = _destination_etas(cfg, scale**2, epsilons)
-    args = (y_sd[:, k1], y_sd[:, k2], y_rd1, y_rd2,
-            topo.noise_sd, topo.noise_rd, scale)
-    if cfg.detector == "nmld":
-        det = detectors.nmld_detect_batch(*args, etas, points)
-    elif cfg.detector == "amld":
-        det = detectors.amld_detect_batch(*args, epsilons, points)
-    elif cfg.detector == "pld":
-        det = detectors.pld_detect_batch(*args, etas, points)
-    else:
-        raise ValueError(cfg.detector)
-    return det != info
-
-
-def _simulate_batch_coherent(cfg: ExperimentConfig, snr_db: float,
-                             epsilons: list[float],
-                             rng: np.random.Generator, n_frames: int,
-                             realization: ChannelRealization | None = None):
-    """Coherent reference path: plain M-PSK at power p_s, known destination CSI."""
-    topo = cfg.topology(snr_db)
-    points = make_alphabet(cfg.m).points
-    k, n = cfg.k_frame, cfg.n_relays
-    amp = math.sqrt(cfg.p_s)
-
-    info = rng.integers(1, cfg.m + 1, size=(n_frames, k))
-    u_s = amp * points[info - 1]
-
-    if realization is None:
-        h_sd = complex_normal(rng, topo.snr_sd * topo.noise_sd, size=n_frames)
-        h_sr = [complex_normal(rng, topo.snr_sr[i] * topo.noise_sr[i], size=n_frames)
-                for i in range(n)]
-        h_rd = [complex_normal(rng, topo.snr_rd[i] * topo.noise_rd[i], size=n_frames)
-                for i in range(n)]
-    else:
-        h_sd = np.full(n_frames, realization.h_sd)
-        h_sr = [np.full(n_frames, realization.h_sr[i]) for i in range(n)]
-        h_rd = [np.full(n_frames, realization.h_rd[i]) for i in range(n)]
-
-    y_sd = h_sd[:, None] * u_s + complex_normal(rng, topo.noise_sd, size=(n_frames, k))
-
-    forced = n if cfg.relay_mode == "genie-all" else (
-        cfg.genie_r if cfg.relay_mode == "genie-r" else 0)
-
-    y_rd = []
-    for i in range(n):
-        y_sr = h_sr[i][:, None] * u_s + complex_normal(
-            rng, topo.noise_sr[i], size=(n_frames, k))
-        # coherent relay: known h, minimum distance
-        ref = (h_sr[i][:, None])[..., None] * (amp * points)
-        det = np.argmin(np.abs(y_sr[..., None] - ref) ** 2, axis=-1) + 1
-        if i < forced:
-            det = info
-        u_r = amp * points[det - 1]
-        y_rd.append(h_rd[i][:, None] * u_r + complex_normal(
-            rng, topo.noise_rd[i], size=(n_frames, k)))
-
-    det = detectors.coherent_baseline_detect_batch(
-        y_sd, y_rd, h_sd[:, None], [h[:, None] for h in h_rd],
-        topo.noise_sd, topo.noise_rd, epsilons, points, amplitude=amp)
-    return det != info
 
 
 def _point_epsilons(cfg: ExperimentConfig, snr_db: float) -> list[float]:
@@ -315,24 +165,112 @@ def _point_epsilons(cfg: ExperimentConfig, snr_db: float) -> list[float]:
     return eps
 
 
+@dataclass(frozen=True)
+class _PointPlan:
+    """Invariants of one SNR point, built once and shipped to every batch.
+
+    ``frame`` is None for the coherent reference, whose ``points`` carry the
+    amplitude sqrt(p_s); ``etas`` holds the branch-floor thresholds per relay.
+    """
+
+    topo: NetworkTopology
+    frame: GdmFrameConfig | None
+    points: np.ndarray
+    k1: np.ndarray | None
+    k2: np.ndarray | None
+    scale: np.ndarray | float
+    epsilons: tuple
+    etas: np.ndarray
+
+    def encode(self, info: np.ndarray) -> np.ndarray:
+        """Transmitted samples of (F, K) info indices."""
+        return self.points[info - 1] if self.frame is None else gdm_encode(info, self.frame).u
+
+    def pairs(self, y: np.ndarray, h: np.ndarray) -> tuple:
+        """Detector input pairs: (y[k1], y[k2]), or (y, h) when coherent."""
+        return (y, h[:, None]) if self.frame is None else (y[:, self.k1], y[:, self.k2])
+
+
+def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPlan:
+    """The plan of one SNR point; ``epsilons`` defaults to `_point_epsilons`."""
+    epsilons = tuple(_point_epsilons(cfg, snr_db) if epsilons is None else epsilons)
+    points = make_alphabet(cfg.m).points
+    log_terms = np.array([math.log((1 - e) * (cfg.m - 1) / e) for e in epsilons])
+    if cfg.detector == "coherent":
+        return _PointPlan(cfg.topology(snr_db), None, math.sqrt(cfg.p_s) * points,
+                          None, None, 1.0, epsilons, log_terms)
+    fc = cfg.frame_config()
+    k1 = np.arange(1, cfg.k_frame + 1)
+    k2 = (k1 - 1) // cfg.l_block * cfg.l_block  # previous block head for an RS, own for an NS
+    scale = np.where(k1 % cfg.l_block == 0, 1.0, fc.power.ns_scale)
+    etas = log_terms[:, None] * (1.0 + scale**2)[None, :]  # eta scales with the pair type
+    return _PointPlan(cfg.topology(snr_db), fc, points, k1, k2, scale, epsilons, etas)
+
+
+def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
+                    rng: np.random.Generator, n_frames: int,
+                    realization: ChannelRealization | None = None) -> np.ndarray:
+    """Simulate ``n_frames`` frames at one SNR point; returns the (F, K)
+    boolean symbol-error mask (True = symbol error)."""
+    topo = plan.topo
+    n = cfg.n_relays
+
+    info = rng.integers(1, cfg.m + 1, size=(n_frames, cfg.k_frame))
+    u_s = plan.encode(info)
+
+    if realization is None:
+        h_sd = complex_normal(rng, topo.snr_sd * topo.noise_sd, size=n_frames)
+        h_sr = [complex_normal(rng, topo.snr_sr[i] * topo.noise_sr[i], size=n_frames)
+                for i in range(n)]
+        h_rd = [complex_normal(rng, topo.snr_rd[i] * topo.noise_rd[i], size=n_frames)
+                for i in range(n)]
+    else:
+        h_sd = np.full(n_frames, realization.h_sd)
+        h_sr = [np.full(n_frames, realization.h_sr[i]) for i in range(n)]
+        h_rd = [np.full(n_frames, realization.h_rd[i]) for i in range(n)]
+
+    y_sd = h_sd[:, None] * u_s + complex_normal(rng, topo.noise_sd, size=u_s.shape)
+
+    forced = {"genie-all": n, "genie-r": cfg.genie_r}.get(cfg.relay_mode, 0)
+    rd_pairs = []
+    for i in range(n):
+        y_sr = h_sr[i][:, None] * u_s + complex_normal(rng, topo.noise_sr[i], size=u_s.shape)
+        det = detectors.relay_detect_batch(*plan.pairs(y_sr, h_sr[i]), plan.scale, plan.points)
+        if i == 0:
+            relay_one_det = det
+        u_r = plan.encode(info if i < forced else det)
+        y_rd = h_rd[i][:, None] * u_r + complex_normal(rng, topo.noise_rd[i], size=u_r.shape)
+        rd_pairs.append(plan.pairs(y_rd, h_rd[i]))
+
+    if cfg.detector == "relay-only":
+        return relay_one_det != info
+    args = (*plan.pairs(y_sd, h_sd), [p[0] for p in rd_pairs], [p[1] for p in rd_pairs],
+            topo.noise_sd, topo.noise_rd, plan.scale)
+    if cfg.detector == "amld":
+        det = detectors.amld_detect_batch(*args, plan.epsilons, plan.points)
+    elif cfg.detector == "pld":
+        det = detectors.pld_detect_batch(*args, plan.etas, plan.points)
+    else:  # nmld, and coherent: the same branch-floor rule on (y, h) pairs
+        det = detectors.nmld_detect_batch(*args, plan.etas, plan.points)
+    return det != info
+
+
+def _simulate_batch_noncoherent(cfg, snr_db, epsilons, rng, n_frames, realization=None):
+    """`_simulate_batch` with the destination's relay error rates given."""
+    return _simulate_batch(cfg, _point_plan(cfg, snr_db, epsilons), rng, n_frames, realization)
+
+
 def run_frame(cfg: ExperimentConfig, snr_db: float,
               realization: ChannelRealization | None,
               rng: np.random.Generator) -> np.ndarray:
     """Simulate one frame end to end; returns the per-symbol error mask (K,)."""
-    eps = _point_epsilons(cfg, snr_db)
-    sim = (_simulate_batch_coherent if cfg.detector == "coherent"
-           else _simulate_batch_noncoherent)
-    return sim(cfg, snr_db, eps, rng, 1, realization=realization)[0]
+    return _simulate_batch(cfg, _point_plan(cfg, snr_db), rng, 1, realization)[0]
 
 
-def _run_batch(cfg: ExperimentConfig, point_index: int, batch_index: int,
-               n_frames: int) -> tuple:
-    snr_db = cfg.snr_grid_db[point_index]
-    rng = substream(cfg.master_seed, point_index, batch_index)
-    eps = _point_epsilons(cfg, snr_db)
-    sim = (_simulate_batch_coherent if cfg.detector == "coherent"
-           else _simulate_batch_noncoherent)
-    err = sim(cfg, snr_db, eps, rng, n_frames)
+def _run_batch(cfg: ExperimentConfig, plan: _PointPlan, point_index: int,
+               batch_index: int, n_frames: int) -> tuple:
+    err = _simulate_batch(cfg, plan, substream(cfg.master_seed, point_index, batch_index),
+                          n_frames)
     return int(err.sum()), err.size
 
 
@@ -349,6 +287,7 @@ def _point_batches(cfg: ExperimentConfig):
 
 def _run_point(cfg: ExperimentConfig, point_index: int,
                pool: ProcessPoolExecutor | None) -> PointResult:
+    plan = _point_plan(cfg, cfg.snr_grid_db[point_index])
     errors = 0
     symbols = 0
     schedule = _point_batches(cfg)
@@ -364,9 +303,9 @@ def _run_point(cfg: ExperimentConfig, point_index: int,
         if not wave:
             break
         if pool is None:
-            results = [_run_batch(cfg, point_index, b, nf) for b, nf in wave]
+            results = [_run_batch(cfg, plan, point_index, b, nf) for b, nf in wave]
         else:
-            futures = [pool.submit(_run_batch, cfg, point_index, b, nf)
+            futures = [pool.submit(_run_batch, cfg, plan, point_index, b, nf)
                        for b, nf in wave]
             results = [f.result() for f in futures]
         # accumulate in batch-index order so the stop decision is
@@ -494,10 +433,6 @@ def _preset_fig5a(scale, seed):
     return runs
 
 
-def _preset_fig5b(scale, seed):
-    return {}  # op-count table handled analytically; see cli complexity
-
-
 def _preset_fig6(scale, seed):
     """8-DPSK with N parallel relays, relay links 10 dB above the direct one."""
     runs = {}
@@ -545,34 +480,34 @@ def _preset_fig9(scale, seed):
     return runs
 
 
-def _preset_fig4a(scale, seed):
-    return {}  # operation counts vs modulation order; handled analytically
-
-
 FIGURE_PRESETS = {
     "fig3": _preset_fig3,
-    "fig4a": _preset_fig4a,
     "fig4b": _preset_fig4b,
     "fig5a": _preset_fig5a,
-    "fig5b": _preset_fig5b,
     "fig6": _preset_fig6,
     "fig8a": _preset_fig8a,
     "fig8b": _preset_fig8b,
     "fig9": _preset_fig9,
 }
 
+# operation-count figures: the (x, M, N) points of each detector-cost sweep
+OPCOUNT_FIGURES = {
+    "fig4a": [(m, m, 1) for m in (2, 4, 8, 16)],
+    "fig5b": [(n, 8, n) for n in range(1, 13)],
+}
+
+FIGURE_IDS = sorted(FIGURE_PRESETS | OPCOUNT_FIGURES)
+
 
 def reproduce_figure(figure_id: str, scale: str = "desk", out_dir=None,
                      master_seed: int = 0) -> dict:
     """Run a figure preset; returns {curve_name: SimResult}.
 
-    The complexity figures (fig4a, fig5b) have no stochastic content and
-    produce operation-count curves instead of simulations; their data files
-    are written directly when ``out_dir`` is given.
+    The operation-count figures (``OPCOUNT_FIGURES``) run no simulation and
+    return no results; their data files are written when ``out_dir`` is given.
     """
-    if figure_id not in FIGURE_PRESETS:
-        raise ValueError(f"unknown figure id {figure_id!r}; "
-                         f"choose from {sorted(FIGURE_PRESETS)}")
+    if figure_id not in FIGURE_IDS:
+        raise ValueError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
     if scale not in ("desk", "full"):
         raise ValueError("scale must be 'desk' or 'full'")
     import pathlib
@@ -581,19 +516,13 @@ def reproduce_figure(figure_id: str, scale: str = "desk", out_dir=None,
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    if figure_id in ("fig4a", "fig5b"):
-        # analytic op-count curves
-        sweep = [(m, 1) for m in (2, 4, 8, 16)] if figure_id == "fig4a" else \
-                [(8, n) for n in range(1, 13)]
+    if figure_id in OPCOUNT_FIGURES:
         if out is not None:
-            path = out / f"{figure_id}_opcounts.dat"
-            with open(path, "w") as fh:
+            with open(out / f"{figure_id}_opcounts.dat", "w") as fh:
                 fh.write("# x amld pld nmld (total ops per symbol)\n")
-                for m, n in sweep:
-                    x = m if figure_id == "fig4a" else n
-                    fh.write(f"{x} {count_ops('amld', m, n).total} "
-                             f"{count_ops('pld', m, n).total} "
-                             f"{count_ops('nmld', m, n).total}\n")
+                for x, m, n in OPCOUNT_FIGURES[figure_id]:
+                    totals = (count_ops(kind, m, n).total for kind in ("amld", "pld", "nmld"))
+                    fh.write(f"{x} {' '.join(map(str, totals))}\n")
         return {}
 
     runs = FIGURE_PRESETS[figure_id](scale, master_seed)

@@ -126,7 +126,7 @@ class GdmFrameConfig:
 
 @dataclass(frozen=True)
 class EncodedFrame:
-    """One encoded frame: K+1 transmitted samples plus the info indices."""
+    """Encoded frame(s): K+1 transmitted samples per frame plus the info indices."""
 
     u: np.ndarray
     info: np.ndarray
@@ -136,33 +136,32 @@ class EncodedFrame:
 def _phase_indices(info: np.ndarray, cfg: GdmFrameConfig) -> np.ndarray:
     """Cumulative 0-based phase index of every transmitted sample.
 
+    Works along the last axis of ``info`` (..., K) and returns (..., K+1).
     Position 0 carries phase 0.  Block heads accumulate their own offsets
     across blocks; in-block symbols add their offset to the head phase.
     """
     k, l, m = cfg.k_frame, cfg.l_block, cfg.m
-    offsets = np.asarray(info, dtype=np.int64) - 1
-    phase = np.empty(k + 1, dtype=np.int64)
-    phase[0] = 0
-    if l == 1:
-        phase[1:] = np.cumsum(offsets) % m
-        return phase
+    offsets = info - 1
+    start = np.zeros(info.shape[:-1] + (1,), dtype=np.int64)
     head_pos = np.arange(l, k + 1, l)
-    head_phase = np.concatenate(([0], np.cumsum(offsets[head_pos - 1]) % m))
-    blocks = np.arange(k + 1) // l
-    phase = head_phase[blocks].copy()
-    ns = ~cfg.ref_mask()
-    phase[ns] = (phase[ns] + offsets[np.flatnonzero(ns) - 1]) % m
+    head_phase = np.concatenate(
+        [start, np.cumsum(offsets[..., head_pos - 1], axis=-1) % m], axis=-1)
+    phase = head_phase[..., np.arange(k + 1) // l]
+    ns = np.flatnonzero(~cfg.ref_mask())
+    phase[..., ns] = (phase[..., ns] + offsets[..., ns - 1]) % m
     return phase
 
 
 def gdm_encode(info, cfg: GdmFrameConfig) -> EncodedFrame:
     """Differentially encode K information indices into K+1 samples.
 
-    ``info`` holds 1-based alphabet indices for positions 1..K.  The sample
-    at position 0 is the fixed initialization reference sqrt(rho_r).
+    ``info`` holds 1-based alphabet indices for positions 1..K, either one
+    frame (K,) or a stack of frames (..., K) encoded row by row into
+    (..., K+1).  The sample at position 0 is the fixed initialization
+    reference sqrt(rho_r).
     """
     info = np.asarray(info, dtype=np.int64)
-    if info.shape != (cfg.k_frame,):
+    if info.ndim < 1 or info.shape[-1] != cfg.k_frame:
         raise ValueError(f"expected {cfg.k_frame} info symbols, got shape {info.shape}")
     if info.min(initial=cfg.m) < 1 or info.max(initial=1) > cfg.m:
         raise ValueError("info indices must lie in [1, M]")

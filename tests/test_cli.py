@@ -92,6 +92,16 @@ class TestDiversity:
 
 
 class TestAnalyze:
+    def test_block_length_other_than_one_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--L", "16", "--snr", "10"])
+        assert exc.value.code == 2
+        assert "L=1 only" in capsys.readouterr().err
+
+    def test_block_length_one_accepted(self, capsys):
+        assert main(["analyze", "--L", "1", "--snr", "10"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
     def test_emits_grid_rows(self, capsys):
         assert main(["analyze", "--relays", "2", "--snr", "10,20"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -138,6 +148,27 @@ class TestSimulate:
             main(self.ARGS + ["--config", str(cfg)])
         assert exc.value.code == 2
         assert "bandwidth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [{"relays": "2"}, {"relays": 2.5},
+                                      {"relays": True}, {"power": "1"},
+                                      {"detector": "viterbi"}, {"csv": 1},
+                                      {"snr": [10, "x"]}, {"out_dir": 3}])
+    def test_config_wrong_type_exits_2(self, tmp_path, capsys, data):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        assert repr(next(iter(data))) in capsys.readouterr().err
+
+    def test_config_typed_values_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"relays": 2, "power": 1, "snr": [8, 12.5],
+                                   "rho_n": None, "detector": "pld", "json": False}))
+        assert main(self.ARGS + ["--config", str(cfg)]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert "detector=pld relays=2" in out[0]
+        assert [row.split()[0] for row in out[2:]] == ["8", "12.5"]
 
     def test_config_bad_json_exits_2(self, tmp_path):
         cfg = tmp_path / "run.json"

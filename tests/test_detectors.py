@@ -284,6 +284,33 @@ class TestBatchEquivalence:
         want = [pld_detect(c, alphabet) for c in ctxs]
         assert got.tolist() == want
 
+    @pytest.mark.parametrize("m,n,amplitude", [(2, 1, 0.7), (4, 2, 1.3), (8, 3, 2.1)])
+    def test_coherent_pairs_match_scalar_baseline(self, m, n, amplitude):
+        # the coherent baseline is the branch-floor kernel on (y, h) pairs
+        rng = substream(109, m, n)
+        alphabet = make_alphabet(m)
+        f, k = 40, 9
+
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        info = rng.integers(1, m + 1, size=(f, k))
+        tx = amplitude * alphabet.points[info - 1]
+        h_sd, h_rd = 3.0 * cn(f), [2.0 * cn(f) for _ in range(n)]
+        noise_rd = [0.8 + 0.2 * i for i in range(n)]
+        y_sd = h_sd[:, None] * tx + cn(f, k)
+        y_rd = [h[:, None] * tx + math.sqrt(v) * cn(f, k) for h, v in zip(h_rd, noise_rd)]
+        eps = [clamp_epsilon(float(rng.uniform(1e-3, 0.3))) for _ in range(n)]
+        etas = [math.log((1 - e) * (m - 1) / e) for e in eps]
+
+        got = nmld_detect_batch(y_sd, h_sd[:, None], y_rd, [h[:, None] for h in h_rd],
+                                1.2, noise_rd, 1.0, etas, amplitude * alphabet.points)
+        want = [[coherent_baseline_detect(y_sd[i, j], [y[i, j] for y in y_rd], h_sd[i],
+                                          [h[i] for h in h_rd], 1.2, noise_rd, eps,
+                                          alphabet, amplitude=amplitude)
+                 for j in range(k)] for i in range(f)]
+        assert got.tolist() == want
+
     def test_relay_batch_matches_scalar(self):
         rng = substream(108, 0)
         alphabet = make_alphabet(8)

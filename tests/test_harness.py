@@ -164,6 +164,51 @@ class TestRunExperiment:
         assert r.points[0].symbols == 100 * 31
 
 
+class TestSeededResults:
+    """Exact per-point (symbols, errors) of fixed-budget seeded sweeps.
+
+    Any change to the draw order, the encoders or a detector's decisions moves
+    these counts; a refactor of the pipeline must leave them as they are.
+    """
+
+    CASES = {
+        "nmld": (dict(n_relays=2, m=4, k_frame=31, l_block=1, detector="nmld",
+                      snr_grid_db=(5.0, 15.0), master_seed=1),
+                 [(15872, 3499), (15872, 97)]),
+        "amld": (dict(n_relays=2, m=8, k_frame=15, l_block=1, detector="amld",
+                      snr_grid_db=(10.0, 20.0), master_seed=2),
+                 [(7680, 1886), (7680, 54)]),
+        "pld-ps": (dict(n_relays=1, m=4, k_frame=63, l_block=8, detector="pld",
+                        snr_grid_db=(10.0, 20.0), p_s=1.7, master_seed=3),
+                   [(32256, 747), (32256, 62)]),
+        "coherent-ps": (dict(n_relays=2, m=4, k_frame=63, l_block=1, detector="coherent",
+                             snr_grid_db=(5.0, 15.0), p_s=1.7, master_seed=4),
+                        [(32256, 1176), (32256, 11)]),
+        "relay-only": (dict(n_relays=1, m=4, k_frame=63, l_block=8, detector="relay-only",
+                            snr_grid_db=(10.0,), master_seed=5),
+                       [(32256, 3535)]),
+        "genie-all": (dict(n_relays=2, m=4, k_frame=31, l_block=1, detector="nmld",
+                           relay_mode="genie-all", snr_grid_db=(10.0,), master_seed=6),
+                      [(15872, 214)]),
+        "genie-r": (dict(n_relays=3, m=4, k_frame=31, l_block=4, detector="nmld",
+                         relay_mode="genie-r", genie_r=1, snr_grid_db=(10.0,),
+                         master_seed=7),
+                    [(15872, 203)]),
+        "gdm-rho": (dict(n_relays=1, m=4, k_frame=63, l_block=16, detector="nmld",
+                         rho_n=0.6, snr_grid_db=(10.0, 20.0), master_seed=8),
+                    [(32256, 2092), (32256, 70)]),
+        "coherent-genie": (dict(n_relays=1, m=8, k_frame=15, l_block=1, detector="coherent",
+                                relay_mode="genie-all", snr_grid_db=(15.0,), master_seed=9),
+                           [(7680, 96)]),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_pinned_counts(self, name):
+        kw, expected = self.CASES[name]
+        r = run_ser_experiment(ExperimentConfig(max_frames=512, min_errors=10**9, **kw))
+        assert [(p.symbols, p.errors) for p in r.points] == expected
+
+
 class TestCommonRandomNumbers:
     def test_detectors_share_channel_realizations(self):
         # same seed means the same frames; detector disagreement is rare

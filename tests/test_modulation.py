@@ -145,6 +145,24 @@ class TestEncode:
         frame = gdm_encode(info, cfg)
         assert noiseless_decode(frame, cfg).tolist() == info.tolist()
 
+    @pytest.mark.parametrize("k,l,m", [(7, 1, 2), (15, 4, 8), (31, 8, 4), (319, 16, 2)])
+    def test_stacked_frames_match_row_by_row(self, k, l, m):
+        cfg = make_cfg(k, l, m)
+        info = np.random.default_rng(k + l + m).integers(1, m + 1, size=(2, 3, k))
+        frame = gdm_encode(info, cfg)
+        assert frame.u.shape == (2, 3, k + 1)
+        for idx in np.ndindex(2, 3):
+            row = gdm_encode(info[idx], cfg)
+            assert np.array_equal(frame.u[idx], row.u)
+            assert np.array_equal(frame.info[idx], row.info)
+
+    def test_stacked_frames_validated(self):
+        cfg = make_cfg(7, 4, 4)
+        with pytest.raises(ValueError):
+            gdm_encode(np.ones((3, 8), dtype=int), cfg)
+        with pytest.raises(ValueError):
+            gdm_encode(np.full((3, 7), 5), cfg)
+
     def test_l1_equal_power_is_classical_dm(self):
         cfg = make_cfg(7, 1, 4, power=equal_power())
         info = [2, 3, 1, 4, 2, 2, 3]
