@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from gdmrelay.detectors import clamp_epsilon
+from gdmrelay.detectors import clamp_epsilon, relay_reliability
 from gdmrelay.modulation import PowerAllocation
 
 __all__ = [
@@ -90,11 +90,7 @@ def eta_threshold(epsilon: float, m: int, rho_t: float, rho_r: float) -> float:
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     if m < 2:
         raise ValueError("m must be >= 2")
-    return (1.0 + rho_t / rho_r) * math.log((1.0 - epsilon) * (m - 1) / epsilon)
-
-
-def _safe_div(num: float, den: float) -> float:
-    return num / den if den > 0 else math.inf
+    return (1.0 + rho_t / rho_r) * relay_reliability(epsilon, m)
 
 
 def ser_conditional_single(gamma_sd: float, gamma_rd: float, epsilon: float,
@@ -119,12 +115,12 @@ def ser_conditional_single(gamma_sd: float, gamma_rd: float, epsilon: float,
 
     a_both = s * math.sqrt(2.0 * phi * (gamma_sd + gamma_rd))
     a_sd = s * math.sqrt(2.0 * phi * gamma_sd)
-    shift = _safe_div(eta, 2.0 * (1.0 + ratio) * a_sd) if a_sd > 0 else math.inf
+    shift = eta / (2.0 * (1.0 + ratio) * a_sd) if a_sd > 0 else math.inf
 
     p_c = lead * (1 - eps) * q_function(a_both)
-    p_c += lead * (1 - eps) * (0.0 if shift == math.inf else q_function(a_sd + shift))
+    p_c += lead * (1 - eps) * q_function(a_sd + shift)
     p_e = lead * eps * q_function(a_sd)
-    p_e += lead * eps / (m - 1) * (1.0 if shift == math.inf else q_function(a_sd - shift))
+    p_e += lead * eps / (m - 1) * q_function(a_sd - shift)
 
     p_c = min(max(p_c, 0.0), 1.0)
     p_e = min(max(p_e, 0.0), 1.0)

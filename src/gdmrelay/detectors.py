@@ -1,9 +1,8 @@
 """Symbol detectors for the non-coherent DF relay network.
 
 All destination detectors work on differential sample pairs (y[k1], y[k2])
-per link.  For a reference symbol k2 is the previous block head and the
-pair scale is 1; for a normal symbol k2 is the current block head and the
-scale is sqrt(rho_n/rho_r).
+per link, at the positions `GdmFrameConfig.pair_positions` gives.  The pair
+scale is 1 for a reference symbol and sqrt(rho_n/rho_r) for a normal symbol.
 
 Scalar functions (`relay_detect`, `nmld_detect`, ...) are the reference
 implementations used by the oracle tests; the `*_batch` variants vectorize
@@ -12,7 +11,7 @@ harness calls.  Ties always break toward the lowest alphabet index.
 
 The coherent baseline in batch form is `nmld_detect_batch` on (y, h) pairs
 (sample and known fading coefficient) with scale 1, the alphabet times the
-amplitude and eta = log((1-eps)(M-1)/eps).
+amplitude and eta = `relay_reliability`.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ __all__ = [
     "pld_detect",
     "pld_pairwise_llr",
     "coherent_baseline_detect",
+    "relay_reliability",
     "count_ops",
     "relay_detect_batch",
     "nmld_detect_batch",
@@ -48,6 +48,11 @@ EPSILON_CEIL = 0.5 - 1e-12
 def clamp_epsilon(epsilon: float) -> float:
     """Keep a relay error rate strictly inside (0, 1/2) so eta stays finite."""
     return min(max(float(epsilon), EPSILON_FLOOR), EPSILON_CEIL)
+
+
+def relay_reliability(epsilon: float, m: int) -> float:
+    """Relay-reliability term log((1-eps)(M-1)/eps) behind every branch threshold."""
+    return math.log((1 - epsilon) * (m - 1) / epsilon)
 
 
 @dataclass(frozen=True)
@@ -276,10 +281,8 @@ def coherent_baseline_detect(y_sd, y_rd, h_sd, h_rd, noise_sd, noise_rd,
     d_sd = np.abs(y_sd - h_sd * amplitude * alphabet.points) ** 2 / noise_sd
     totals = d_sd.copy()
     for y, h, nv, e in zip(y_rd, h_rd, noise_rd, epsilons):
-        e = clamp_epsilon(e)
         f = np.abs(y - h * amplitude * alphabet.points) ** 2 / nv
-        eta_co = math.log((1 - e) * (m - 1) / e)
-        totals += np.minimum(f, f.min() + eta_co)
+        totals += np.minimum(f, f.min() + relay_reliability(clamp_epsilon(e), m))
     return int(np.argmin(totals)) + 1
 
 

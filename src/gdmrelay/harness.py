@@ -9,6 +9,12 @@ coherent reference.  A plan built once per SNR point holds the invariants and
 the two scheme-specific steps: the encoder and the (y1, y2) pairs the batch
 detectors compare, (y[k1], y[k2]) for differential and (y, h) for coherent.
 
+Each point runs in batches of ``BATCH_FRAMES`` frames (the last one may be
+shorter), in waves of ``workers`` batches: a wave runs in the process pool
+when there is one, and the next wave starts only when the stop rule still
+holds.  Batch counts are accumulated in batch-index order and the point stops
+at the first batch that reaches ``min_errors``, mid-wave if need be.
+
 Reproducibility contract: random draws are keyed by
 (master_seed, point_index, batch_index) with a fixed frame-batch size, so
 results are bit-identical across runs and across worker counts.  Frames
@@ -18,17 +24,19 @@ inside a batch are simulated jointly as arrays for speed.
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from gdmrelay import analysis, detectors
 from gdmrelay.channel import ChannelRealization, NetworkTopology, complex_normal, substream
-from gdmrelay.detectors import clamp_epsilon, count_ops
+from gdmrelay.detectors import clamp_epsilon, count_ops, relay_reliability
 from gdmrelay.modulation import GdmFrameConfig, PowerAllocation, gdm_encode, make_alphabet
 from gdmrelay.power import optimize_power
 
@@ -195,14 +203,13 @@ def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPl
     """The plan of one SNR point; ``epsilons`` defaults to `_point_epsilons`."""
     epsilons = tuple(_point_epsilons(cfg, snr_db) if epsilons is None else epsilons)
     points = make_alphabet(cfg.m).points
-    log_terms = np.array([math.log((1 - e) * (cfg.m - 1) / e) for e in epsilons])
+    log_terms = np.array([relay_reliability(e, cfg.m) for e in epsilons])
     if cfg.detector == "coherent":
         return _PointPlan(cfg.topology(snr_db), None, math.sqrt(cfg.p_s) * points,
                           None, None, 1.0, epsilons, log_terms)
     fc = cfg.frame_config()
-    k1 = np.arange(1, cfg.k_frame + 1)
-    k2 = (k1 - 1) // cfg.l_block * cfg.l_block  # previous block head for an RS, own for an NS
-    scale = np.where(k1 % cfg.l_block == 0, 1.0, fc.power.ns_scale)
+    k1, k2 = fc.pair_positions()
+    scale = np.where(fc.ref_mask()[k1], 1.0, fc.power.ns_scale)
     etas = log_terms[:, None] * (1.0 + scale**2)[None, :]  # eta scales with the pair type
     return _PointPlan(cfg.topology(snr_db), fc, points, k1, k2, scale, epsilons, etas)
 
@@ -236,14 +243,12 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
     for i in range(n):
         y_sr = h_sr[i][:, None] * u_s + complex_normal(rng, topo.noise_sr[i], size=u_s.shape)
         det = detectors.relay_detect_batch(*plan.pairs(y_sr, h_sr[i]), plan.scale, plan.points)
-        if i == 0:
-            relay_one_det = det
+        if cfg.detector == "relay-only":
+            return det != info
         u_r = plan.encode(info if i < forced else det)
         y_rd = h_rd[i][:, None] * u_r + complex_normal(rng, topo.noise_rd[i], size=u_r.shape)
         rd_pairs.append(plan.pairs(y_rd, h_rd[i]))
 
-    if cfg.detector == "relay-only":
-        return relay_one_det != info
     args = (*plan.pairs(y_sd, h_sd), [p[0] for p in rd_pairs], [p[1] for p in rd_pairs],
             topo.noise_sd, topo.noise_rd, plan.scale)
     if cfg.detector == "amld":
@@ -263,58 +268,41 @@ def _simulate_batch_noncoherent(cfg, snr_db, epsilons, rng, n_frames, realizatio
 def run_frame(cfg: ExperimentConfig, snr_db: float,
               realization: ChannelRealization | None,
               rng: np.random.Generator) -> np.ndarray:
-    """Simulate one frame end to end; returns the per-symbol error mask (K,)."""
+    """Simulate one frame end to end; returns the per-symbol error mask (K,).
+
+    For relay-only the frame ends at relay 1's decision, so fewer numbers are
+    drawn from ``rng`` than for the destination detectors.
+    """
     return _simulate_batch(cfg, _point_plan(cfg, snr_db), rng, 1, realization)[0]
 
 
 def _run_batch(cfg: ExperimentConfig, plan: _PointPlan, point_index: int,
-               batch_index: int, n_frames: int) -> tuple:
+               batch_index: int) -> tuple:
+    """(errors, symbols) of one batch; only the last batch of a point is short."""
+    n_frames = min(BATCH_FRAMES, cfg.max_frames - batch_index * BATCH_FRAMES)
     err = _simulate_batch(cfg, plan, substream(cfg.master_seed, point_index, batch_index),
                           n_frames)
     return int(err.sum()), err.size
 
 
-def _point_batches(cfg: ExperimentConfig):
-    """Deterministic batch schedule (batch_index, n_frames) for one point."""
-    done = 0
-    idx = 0
-    while done < cfg.max_frames:
-        nf = min(BATCH_FRAMES, cfg.max_frames - done)
-        yield idx, nf
-        done += nf
-        idx += 1
-
-
 def _run_point(cfg: ExperimentConfig, point_index: int,
                pool: ProcessPoolExecutor | None) -> PointResult:
     plan = _point_plan(cfg, cfg.snr_grid_db[point_index])
+    run = functools.partial(_run_batch, cfg, plan, point_index)
+    mapper = map if pool is None else pool.map
+    n_batches = -(-cfg.max_frames // BATCH_FRAMES)
+    step = max(cfg.workers, 1)
+    # waves of `step` batches, chained lazily: a wave is mapped only once the
+    # one before it is used up without meeting the stop rule
+    counts = itertools.chain.from_iterable(
+        mapper(run, range(i, min(i + step, n_batches))) for i in range(0, n_batches, step))
     errors = 0
     symbols = 0
-    schedule = _point_batches(cfg)
-    exhausted = False
-    while not exhausted and errors < cfg.min_errors:
-        wave = []
-        for _ in range(max(cfg.workers, 1)):
-            nxt = next(schedule, None)
-            if nxt is None:
-                exhausted = True
-                break
-            wave.append(nxt)
-        if not wave:
+    for e, s in counts:
+        errors += e
+        symbols += s
+        if errors >= cfg.min_errors:
             break
-        if pool is None:
-            results = [_run_batch(cfg, plan, point_index, b, nf) for b, nf in wave]
-        else:
-            futures = [pool.submit(_run_batch, cfg, plan, point_index, b, nf)
-                       for b, nf in wave]
-            results = [f.result() for f in futures]
-        # accumulate in batch-index order so the stop decision is
-        # independent of the worker count
-        for e, s in results:
-            errors += e
-            symbols += s
-            if errors >= cfg.min_errors:
-                break
     ser = errors / symbols if symbols else 0.0
     lo, hi = wilson_interval(errors, symbols)
     return PointResult(snr_db=cfg.snr_grid_db[point_index], symbols=symbols,
@@ -386,98 +374,59 @@ def write_gnuplot(result: SimResult, path):
 # ---------------------------------------------------------------------------
 
 
-def _desk(cfg: ExperimentConfig, scale: str) -> ExperimentConfig:
+def _curve(scale: str, seed: int, **overrides) -> ExperimentConfig:
+    """One figure curve: the shared defaults with ``overrides`` applied and, at
+    desk scale, the frame budget capped at 20,000."""
+    kw = dict(n_relays=1, m=4, k_frame=127, l_block=1, detector="nmld",
+              snr_grid_db=tuple(range(0, 35, 5)), master_seed=seed, max_frames=100000)
+    kw.update(overrides)
     if scale == "desk":
-        return replace(cfg, max_frames=min(cfg.max_frames, 20000))
-    return cfg
+        kw["max_frames"] = min(kw["max_frames"], 20000)
+    return ExperimentConfig(**kw)
 
 
 def _preset_fig3(scale, seed):
     """Single-relay block-differential sweep, three modulation orders."""
-    runs = {}
-    for m in (2, 4, 8):
-        runs[f"m{m}"] = _desk(ExperimentConfig(
-            n_relays=1, m=m, k_frame=319, l_block=16, detector="nmld",
-            snr_grid_db=tuple(range(0, 35, 5)), master_seed=seed,
-            max_frames=100000), scale)
-    return runs
+    return {f"m{m}": _curve(scale, seed, m=m, k_frame=319, l_block=16) for m in (2, 4, 8)}
 
 
 def _preset_fig4b(scale, seed):
     """SER against the normal-symbol power split at two SNRs."""
-    runs = {}
-    for l in (8, 256):
-        k = 511
-        for snr in (10.0, 20.0):
+    return {f"L{l}_snr{int(snr)}_rho{rho_n:.3f}": _curve(
+                scale, seed, k_frame=511, l_block=l, snr_grid_db=(snr,), rho_n=rho_n,
+                max_frames=50000)
+            for l in (8, 256) for snr in (10.0, 20.0)
             for rho_n in [round(0.1 * i, 2) for i in range(1, 10)] + [
-                    optimize_power(l).rho_n_star]:
-                key = f"L{l}_snr{int(snr)}_rho{rho_n:.3f}"
-                runs[key] = _desk(ExperimentConfig(
-                    n_relays=1, m=4, k_frame=k, l_block=l, detector="nmld",
-                    snr_grid_db=(snr,), rho_n=rho_n, master_seed=seed,
-                    max_frames=50000), scale)
-    return runs
+                optimize_power(l).rho_n_star]}
 
 
 def _preset_fig5a(scale, seed):
     """Block-length sweep with the coherent reference as a lower bound."""
-    runs = {}
-    grid = tuple(range(0, 35, 5))
-    for l in (1, 8, 64, 256):
-        runs[f"L{l}"] = _desk(ExperimentConfig(
-            n_relays=1, m=4, k_frame=511, l_block=l, detector="nmld",
-            snr_grid_db=grid, master_seed=seed, max_frames=100000), scale)
-    runs["coherent"] = _desk(ExperimentConfig(
-        n_relays=1, m=4, k_frame=511, l_block=1, detector="coherent",
-        snr_grid_db=grid, master_seed=seed, max_frames=100000), scale)
+    runs = {f"L{l}": _curve(scale, seed, k_frame=511, l_block=l) for l in (1, 8, 64, 256)}
+    runs["coherent"] = _curve(scale, seed, k_frame=511, detector="coherent")
     return runs
 
 
 def _preset_fig6(scale, seed):
     """8-DPSK with N parallel relays, relay links 10 dB above the direct one."""
-    runs = {}
-    for n in (2, 3, 4, 6):
-        runs[f"n{n}"] = _desk(ExperimentConfig(
-            n_relays=n, m=8, k_frame=127, l_block=1, detector="nmld",
-            snr_grid_db=tuple(range(0, 35, 5)), sr_offset_db=10.0,
-            rd_offset_db=10.0, master_seed=seed, max_frames=100000), scale)
-    return runs
+    return {f"n{n}": _curve(scale, seed, n_relays=n, m=8, sr_offset_db=10.0, rd_offset_db=10.0)
+            for n in (2, 3, 4, 6)}
 
 
 def _preset_fig8a(scale, seed):
-    runs = {}
-    for n in (2, 3):
-        for det in ("nmld", "amld"):
-            runs[f"n{n}_{det}"] = _desk(ExperimentConfig(
-                n_relays=n, m=4, k_frame=127, l_block=1, detector=det,
-                snr_grid_db=tuple(range(0, 35, 5)), master_seed=seed,
-                max_frames=100000), scale)
-    return runs
+    return {f"n{n}_{det}": _curve(scale, seed, n_relays=n, detector=det)
+            for n in (2, 3) for det in ("nmld", "amld")}
 
 
 def _preset_fig8b(scale, seed):
-    runs = {}
-    for r in (0, 1, 2, 3):
-        runs[f"r{r}"] = _desk(ExperimentConfig(
-            n_relays=3, m=4, k_frame=127, l_block=1, detector="nmld",
-            relay_mode="genie-r", genie_r=r,
-            snr_grid_db=tuple(range(0, 35, 5)), master_seed=seed,
-            max_frames=100000), scale)
-    return runs
+    return {f"r{r}": _curve(scale, seed, n_relays=3, relay_mode="genie-r", genie_r=r)
+            for r in (0, 1, 2, 3)}
 
 
 def _preset_fig9(scale, seed):
-    runs = {}
-    for n in (2, 3):
-        runs[f"n{n}_noncoherent"] = _desk(ExperimentConfig(
-            n_relays=n, m=4, k_frame=127, l_block=1, detector="nmld",
-            snr_grid_db=tuple(range(0, 35, 5)), master_seed=seed,
-            max_frames=100000), scale)
-        runs[f"n{n}_coherent"] = _desk(ExperimentConfig(
-            n_relays=n, m=4, k_frame=127, l_block=1, detector="coherent",
-            snr_grid_db=tuple(range(0, 35, 5)), master_seed=seed,
-            max_frames=100000), scale)
-    return runs
+    return {f"n{n}_{name}": _curve(scale, seed, n_relays=n, detector=det)
+            for n in (2, 3)
+            for name, det in (("noncoherent", "nmld"), ("coherent", "coherent"))}
 
 
 FIGURE_PRESETS = {

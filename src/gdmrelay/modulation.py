@@ -2,10 +2,13 @@
 
 A frame of K information symbols (plus one initialization symbol) is split
 into blocks of length L.  The first symbol of each block is a reference
-symbol (RS): it is differentially chained to the previous block's RS and
-transmitted with power ``rho_r``.  The remaining L-1 normal symbols (NS)
-are chained to their own block head and transmitted with power ``rho_n``.
-Block length L=1 with equal powers reduces to classical differential PSK.
+symbol (RS), transmitted with power ``rho_r``; the remaining L-1 normal
+symbols (NS) are transmitted with power ``rho_n``.  Each symbol k1 = 1..K is
+differentially chained to one earlier sample k2, the pair rule that
+`GdmFrameConfig.pair_positions` states: an RS to the previous block's RS, an
+NS to its own block head.  The encoder, the noiseless decoder and the
+detectors' sample pairs all derive from it.  Block length L=1 with equal
+powers reduces to classical differential PSK.
 
 Symbols are kept as alphabet indices (1..M); complex values are derived on
 demand so that differential products never accumulate floating-point phase
@@ -123,6 +126,12 @@ class GdmFrameConfig:
         mask[:: self.l_block] = True
         return mask
 
+    def pair_positions(self) -> tuple:
+        """Positions (k1, k2) of every differential pair: k1 = 1..K and k2 its
+        chain partner, the previous block head for an RS, its own for an NS."""
+        k1 = np.arange(1, self.k_frame + 1)
+        return k1, (k1 - 1) // self.l_block * self.l_block
+
 
 @dataclass(frozen=True)
 class EncodedFrame:
@@ -137,18 +146,20 @@ def _phase_indices(info: np.ndarray, cfg: GdmFrameConfig) -> np.ndarray:
     """Cumulative 0-based phase index of every transmitted sample.
 
     Works along the last axis of ``info`` (..., K) and returns (..., K+1).
-    Position 0 carries phase 0.  Block heads accumulate their own offsets
-    across blocks; in-block symbols add their offset to the head phase.
+    Position 0 carries phase 0; position k1 carries the phase of its pair
+    partner k2 plus its own offset.  Every k2 is a block head, whose phase is
+    the running sum of the head offsets.
     """
-    k, l, m = cfg.k_frame, cfg.l_block, cfg.m
-    offsets = info - 1
-    start = np.zeros(info.shape[:-1] + (1,), dtype=np.int64)
-    head_pos = np.arange(l, k + 1, l)
-    head_phase = np.concatenate(
-        [start, np.cumsum(offsets[..., head_pos - 1], axis=-1) % m], axis=-1)
-    phase = head_phase[..., np.arange(k + 1) // l]
-    ns = np.flatnonzero(~cfg.ref_mask())
-    phase[..., ns] = (phase[..., ns] + offsets[..., ns - 1]) % m
+    l = cfg.l_block
+    _, k2 = cfg.pair_positions()
+    phase = np.empty(info.shape[:-1] + (cfg.k_frame + 1,), dtype=np.int64)
+    phase[..., 0] = 0
+    offsets = np.subtract(info, 1, out=phase[..., 1:])  # a view, turned into phases in place
+    heads = np.empty(info.shape[:-1] + (cfg.n_blocks,), dtype=np.int64)
+    heads[..., 0] = 0
+    np.cumsum(offsets[..., l - 1::l], axis=-1, out=heads[..., 1:])
+    offsets += heads[..., k2 // l]
+    phase %= cfg.m
     return phase
 
 
@@ -168,24 +179,14 @@ def gdm_encode(info, cfg: GdmFrameConfig) -> EncodedFrame:
     alphabet = make_alphabet(cfg.m)
     phase = _phase_indices(info, cfg)
     mask = cfg.ref_mask()
-    amp = np.where(mask, np.sqrt(cfg.power.rho_r), np.sqrt(cfg.power.rho_n))
-    u = amp * alphabet.points[phase]
+    u = alphabet.points[phase]
+    u *= np.where(mask, np.sqrt(cfg.power.rho_r), np.sqrt(cfg.power.rho_n))
     return EncodedFrame(u=u, info=info.copy(), ref_mask=mask)
 
 
 def noiseless_decode(frame: EncodedFrame, cfg: GdmFrameConfig) -> np.ndarray:
     """Exact inverse of :func:`gdm_encode` on a clean frame."""
-    m, l, k = cfg.m, cfg.l_block, cfg.k_frame
+    m = cfg.m
     phase = np.rint(np.angle(frame.u) * m / (2 * np.pi)).astype(np.int64) % m
-    blocks = np.arange(k + 1) // l
-    info = np.empty(k, dtype=np.int64)
-    if l == 1:
-        info = (phase[1:] - phase[:-1]) % m + 1
-        return info
-    head_phase = phase[:: l]
-    # block-head info symbols (blocks 1..B-1)
-    heads = np.arange(l, k + 1, l)
-    info[heads - 1] = (head_phase[1:] - head_phase[:-1]) % m + 1
-    ns = np.flatnonzero(~frame.ref_mask)
-    info[ns - 1] = (phase[ns] - head_phase[blocks[ns]]) % m + 1
-    return info
+    k1, k2 = cfg.pair_positions()
+    return (phase[..., k1] - phase[..., k2]) % m + 1

@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 from gdmrelay.analysis import relay_epsilon
+from gdmrelay.detectors import relay_reliability
 from gdmrelay.modulation import PowerAllocation
 
 __all__ = ["PowerSolution", "optimize_power", "feasibility_diagnostic"]
@@ -73,7 +74,7 @@ def feasibility_diagnostic(solution: PowerSolution, m: int, l_block: int,
     z2 = math.sin(math.pi / m) ** 2 * (
         2.0 * l_block * solution.p_s / (l_block + 2.0 * math.sqrt(l_block - 1.0))
     )
-    ratio = math.log((1.0 - eps) * (m - 1) / eps) / (2.0 * z2 * gamma_sd)
+    ratio = relay_reliability(eps, m) / (2.0 * z2 * gamma_sd)
     if ratio < FEASIBILITY_WARN_RATIO:
         warnings.warn(
             f"power-optimum feasibility ratio {ratio:.3g} < {FEASIBILITY_WARN_RATIO}; "

@@ -17,6 +17,7 @@ from gdmrelay.analysis import (
     ser_avg_erroneous,
     ser_conditional_single,
 )
+from gdmrelay.detectors import relay_reliability
 from gdmrelay.power import optimize_power
 
 
@@ -183,6 +184,9 @@ class TestEtaThreshold:
         with pytest.raises(ValueError):
             eta_threshold(0.6, 4, 1.0, 1.0)
 
+    def test_is_the_relay_reliability_term(self):
+        assert eta_threshold(0.01, 4, 0.5, 1.0) == 1.5 * relay_reliability(0.01, 4)
+
 
 class TestConditionalSingle:
     def setup_method(self):
@@ -220,6 +224,14 @@ class TestConditionalSingle:
         eta = eta_threshold(0.01, 4, 1.0, 1.0)
         p = ser_conditional_single(0.0, 10.0, 0.01, eta, self.pa, 4)
         assert 0.0 <= p.value <= 1.0
+
+    def test_zero_sd_snr_pinned(self):
+        # with no direct link the shifted tails are exactly Q(inf)=0 and Q(-inf)=1
+        eta = eta_threshold(0.01, 4, 1.0, 1.0)
+        p = ser_conditional_single(0.0, 10.0, 0.01, eta, self.pa, 4)
+        assert p.error_free == 2 * 0.99 * q_function(math.sin(math.pi / 4) * math.sqrt(10.0))
+        assert p.erroneous == 2 * 0.01 * 0.5 + 2 * 0.01 / 3
+        assert p.value == p.error_free + p.erroneous
 
     def test_symbol_type_changes_effective_power(self):
         pa = optimize_power(16).as_allocation()

@@ -114,6 +114,17 @@ class TestRunExperiment:
                                          workers=3))
         assert a.points == b.points
 
+    def test_worker_count_does_not_change_early_stop(self):
+        # waves of 3 batches; 5 dB stops at batch 1 and 10 dB at batch 3, both
+        # mid-wave, and 20 dB runs all 7 batches down to the short last one
+        kw = dict(snr_grid_db=(5.0, 10.0, 20.0), min_errors=1100,
+                  max_frames=6 * BATCH_FRAMES + 100)
+        a = run_ser_experiment(small_cfg(**kw))
+        b = run_ser_experiment(small_cfg(workers=3, **kw))
+        assert a.points == b.points
+        assert [p.symbols for p in a.points] == [2 * BATCH_FRAMES * 15, 4 * BATCH_FRAMES * 15,
+                                                 (6 * BATCH_FRAMES + 100) * 15]
+
     def test_stop_rule_respects_frame_cap(self):
         r = run_ser_experiment(small_cfg(snr_grid_db=(40.0,), min_errors=10**9,
                                          max_frames=100))
@@ -187,6 +198,9 @@ class TestSeededResults:
         "relay-only": (dict(n_relays=1, m=4, k_frame=63, l_block=8, detector="relay-only",
                             snr_grid_db=(10.0,), master_seed=5),
                        [(32256, 3535)]),
+        "relay-only-n3": (dict(n_relays=3, m=4, k_frame=31, l_block=4, detector="relay-only",
+                               snr_grid_db=(10.0, 20.0), master_seed=10),
+                          [(15872, 2048), (15872, 245)]),
         "genie-all": (dict(n_relays=2, m=4, k_frame=31, l_block=1, detector="nmld",
                            relay_mode="genie-all", snr_grid_db=(10.0,), master_seed=6),
                       [(15872, 214)]),

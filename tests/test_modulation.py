@@ -97,6 +97,16 @@ class TestFrameConfig:
         assert make_cfg(5, 1, 4).ref_mask().all()
 
 
+class TestPairPositions:
+    @pytest.mark.parametrize("k,l", [(7, 1), (127, 1), (7, 2), (15, 4), (31, 8),
+                                     (319, 16), (15, 16), (255, 256)])
+    def test_matches_chain_rule(self, k, l):
+        # the chain rule of reference_encode: k-L at a block head, k//L*L otherwise
+        k1, k2 = make_cfg(k, l, 4).pair_positions()
+        assert k1.tolist() == list(range(1, k + 1))
+        assert k2.tolist() == [j - l if j % l == 0 else j // l * l for j in range(1, k + 1)]
+
+
 class TestEncode:
     @pytest.mark.parametrize("k,l,m", [(7, 1, 2), (7, 4, 4), (15, 4, 8),
                                        (31, 8, 4), (319, 16, 2), (15, 16, 4)])
@@ -144,6 +154,13 @@ class TestEncode:
         info = np.random.default_rng(seed).integers(1, m + 1, size=k)
         frame = gdm_encode(info, cfg)
         assert noiseless_decode(frame, cfg).tolist() == info.tolist()
+
+    @pytest.mark.parametrize("k,l,m", [(127, 1, 4), (31, 4, 8), (63, 16, 2), (511, 256, 4),
+                                       (15, 16, 4)])
+    def test_round_trip_block_shapes(self, k, l, m):
+        cfg = make_cfg(k, l, m)
+        info = np.random.default_rng(k * l).integers(1, m + 1, size=k)
+        assert np.array_equal(noiseless_decode(gdm_encode(info, cfg), cfg), info)
 
     @pytest.mark.parametrize("k,l,m", [(7, 1, 2), (15, 4, 8), (31, 8, 4), (319, 16, 2)])
     def test_stacked_frames_match_row_by_row(self, k, l, m):
