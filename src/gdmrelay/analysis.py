@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from gdmrelay.channel import effective_receive_snr
 from gdmrelay.detectors import clamp_epsilon, relay_reliability
 from gdmrelay.modulation import PowerAllocation
 
@@ -75,12 +76,9 @@ def relay_epsilon(power: PowerAllocation, l_block: int, gamma_sr_bar: float,
     """
     if l_block < 1:
         raise ValueError("l_block must be >= 1")
-    phi_r = power.rho_r / 2.0
-    phi_n = 1.0 / (1.0 / power.rho_n + 1.0 / power.rho_r)
-    p_r = coherent_mpsk_rayleigh_ser(phi_r * gamma_sr_bar, m)
-    if l_block == 1:
-        return p_r
-    p_n = coherent_mpsk_rayleigh_ser(phi_n * gamma_sr_bar, m)
+    p_r = coherent_mpsk_rayleigh_ser(power.rho_r / 2.0 * gamma_sr_bar, m)
+    p_n = coherent_mpsk_rayleigh_ser(
+        effective_receive_snr(power.rho_n, power.rho_r, gamma_sr_bar), m)
     return p_r / l_block + (1.0 - 1.0 / l_block) * p_n
 
 
@@ -107,7 +105,7 @@ def ser_conditional_single(gamma_sd: float, gamma_rd: float, epsilon: float,
     if symbol_type not in ("R", "N"):
         raise ValueError("symbol_type must be 'R' or 'N'")
     rho_t = power.rho_r if symbol_type == "R" else power.rho_n
-    phi = 1.0 / (1.0 / rho_t + 1.0 / power.rho_r)
+    phi = effective_receive_snr(rho_t, power.rho_r, 1.0)
     ratio = rho_t / power.rho_r
     s = math.sin(math.pi / m)
     lead = 1.0 if m == 2 else 2.0

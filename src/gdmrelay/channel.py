@@ -2,8 +2,9 @@
 
 Each link (source-destination, source-relay_n, relay_n-destination) keeps a
 single complex fading coefficient for a whole frame, redrawn independently
-from frame to frame.  Coefficients are drawn h ~ CN(0, snr * noise_var) so
-that E[|h|^2 / noise_var] equals the configured average link SNR.
+from frame to frame.  Every link has unit noise variance and fading
+h ~ CN(0, snr).  There is no noise setting: the detectors depend on their
+samples only through SNR, so a link is described by its average SNR alone.
 """
 
 from __future__ import annotations
@@ -24,31 +25,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    """Average link SNRs (linear) and noise variances for N parallel relays."""
+    """Average link SNRs (linear) for N parallel relays; the noise is unit."""
 
     n_relays: int
     snr_sd: float
     snr_sr: tuple
     snr_rd: tuple
-    noise_sd: float = 1.0
-    noise_sr: tuple = ()
-    noise_rd: tuple = ()
 
     def __post_init__(self):
         if self.n_relays < 0:
             raise ValueError("n_relays must be >= 0")
         object.__setattr__(self, "snr_sr", tuple(self.snr_sr))
         object.__setattr__(self, "snr_rd", tuple(self.snr_rd))
-        if not self.noise_sr:
-            object.__setattr__(self, "noise_sr", (1.0,) * self.n_relays)
-        if not self.noise_rd:
-            object.__setattr__(self, "noise_rd", (1.0,) * self.n_relays)
         if len(self.snr_sr) != self.n_relays or len(self.snr_rd) != self.n_relays:
             raise ValueError("per-relay SNR tuples must have length n_relays")
-        for v in (self.snr_sd, self.noise_sd, *self.snr_sr, *self.snr_rd,
-                  *self.noise_sr, *self.noise_rd):
-            if not v > 0:
-                raise ValueError("all SNRs and noise variances must be > 0")
+        if not all(v > 0 for v in (self.snr_sd, *self.snr_sr, *self.snr_rd)):
+            raise ValueError("all SNRs must be > 0")
 
     @classmethod
     def symmetric(cls, n_relays: int, snr_sd: float, snr_relay: float | None = None):
@@ -89,11 +81,9 @@ def complex_normal(rng: np.random.Generator, var, size=None) -> np.ndarray:
 
 def draw_realization(topo: NetworkTopology, rng: np.random.Generator) -> ChannelRealization:
     """Draw one frame's independent link coefficients."""
-    h_sd = complex(complex_normal(rng, topo.snr_sd * topo.noise_sd))
-    h_sr = complex_normal(rng, np.array(topo.snr_sr) * np.array(topo.noise_sr),
-                          size=topo.n_relays)
-    h_rd = complex_normal(rng, np.array(topo.snr_rd) * np.array(topo.noise_rd),
-                          size=topo.n_relays)
+    h_sd = complex(complex_normal(rng, topo.snr_sd))
+    h_sr = complex_normal(rng, np.array(topo.snr_sr), size=topo.n_relays)
+    h_rd = complex_normal(rng, np.array(topo.snr_rd), size=topo.n_relays)
     return ChannelRealization(h_sd=h_sd, h_sr=h_sr, h_rd=h_rd)
 
 

@@ -79,6 +79,9 @@ def _config_value(action: argparse.Action, val):
     if val is None and action.default is None:
         return None
     if isinstance(val, list) and action.type is _parse_snr_grid:
+        bad = [v for v in val if isinstance(v, bool) or not isinstance(v, (int, float))]
+        if bad:
+            raise ValueError(f"expected a list of numbers, got {bad[0]!r}")
         val = ",".join(map(str, val))
     allowed = {int: (int,), float: (int, float)}.get(
         action.type, (bool,) if action.nargs == 0 else (str,))

@@ -85,8 +85,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown detector {self.detector!r}")
         if self.relay_mode not in RELAY_MODES:
             raise ValueError(f"unknown relay mode {self.relay_mode!r}")
-        if self.relay_mode == "genie-r" and not 0 <= self.genie_r <= self.n_relays:
-            raise ValueError("genie_r out of range")
+        if not 0 <= self.genie_r <= (self.n_relays if self.relay_mode == "genie-r" else 0):
+            raise ValueError("genie_r must lie in [0, n_relays] in genie-r mode, else be 0")
         if self.n_relays < 0:
             raise ValueError("n_relays must be >= 0")
         if self.detector == "relay-only" and self.n_relays < 1:
@@ -160,17 +160,15 @@ def wilson_interval(errors: int, n: int, z: float = 1.959964) -> tuple:
 
 
 def _point_epsilons(cfg: ExperimentConfig, snr_db: float) -> list[float]:
-    """Average relay error rates assumed by the destination at this point."""
-    topo = cfg.topology(snr_db)
-    eps = []
-    for i in range(cfg.n_relays):
-        if cfg.detector == "coherent":
-            e = analysis.coherent_mpsk_rayleigh_ser(cfg.p_s * topo.snr_sr[i], cfg.m)
-        else:
-            e = analysis.relay_epsilon(cfg.power_allocation(), cfg.l_block,
-                                       topo.snr_sr[i], cfg.m)
-        eps.append(clamp_epsilon(e))
-    return eps
+    """Average relay error rates assumed by the destination; the relays share one S-R SNR."""
+    if cfg.n_relays == 0:
+        return []
+    g_sr = cfg.topology(snr_db).snr_sr[0]
+    if cfg.detector == "coherent":
+        e = analysis.coherent_mpsk_rayleigh_ser(cfg.p_s * g_sr, cfg.m)
+    else:
+        e = analysis.relay_epsilon(cfg.power_allocation(), cfg.l_block, g_sr, cfg.m)
+    return [clamp_epsilon(e)] * cfg.n_relays
 
 
 @dataclass(frozen=True)
@@ -226,31 +224,29 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
     u_s = plan.encode(info)
 
     if realization is None:
-        h_sd = complex_normal(rng, topo.snr_sd * topo.noise_sd, size=n_frames)
-        h_sr = [complex_normal(rng, topo.snr_sr[i] * topo.noise_sr[i], size=n_frames)
-                for i in range(n)]
-        h_rd = [complex_normal(rng, topo.snr_rd[i] * topo.noise_rd[i], size=n_frames)
-                for i in range(n)]
+        h_sd = complex_normal(rng, topo.snr_sd, size=n_frames)
+        h_sr = [complex_normal(rng, topo.snr_sr[i], size=n_frames) for i in range(n)]
+        h_rd = [complex_normal(rng, topo.snr_rd[i], size=n_frames) for i in range(n)]
     else:
         h_sd = np.full(n_frames, realization.h_sd)
         h_sr = [np.full(n_frames, realization.h_sr[i]) for i in range(n)]
         h_rd = [np.full(n_frames, realization.h_rd[i]) for i in range(n)]
 
-    y_sd = h_sd[:, None] * u_s + complex_normal(rng, topo.noise_sd, size=u_s.shape)
+    y_sd = h_sd[:, None] * u_s + complex_normal(rng, 1.0, size=u_s.shape)
 
     forced = {"genie-all": n, "genie-r": cfg.genie_r}.get(cfg.relay_mode, 0)
     rd_pairs = []
     for i in range(n):
-        y_sr = h_sr[i][:, None] * u_s + complex_normal(rng, topo.noise_sr[i], size=u_s.shape)
+        y_sr = h_sr[i][:, None] * u_s + complex_normal(rng, 1.0, size=u_s.shape)
         det = detectors.relay_detect_batch(*plan.pairs(y_sr, h_sr[i]), plan.scale, plan.points)
         if cfg.detector == "relay-only":
             return det != info
         u_r = plan.encode(info if i < forced else det)
-        y_rd = h_rd[i][:, None] * u_r + complex_normal(rng, topo.noise_rd[i], size=u_r.shape)
+        y_rd = h_rd[i][:, None] * u_r + complex_normal(rng, 1.0, size=u_r.shape)
         rd_pairs.append(plan.pairs(y_rd, h_rd[i]))
 
     args = (*plan.pairs(y_sd, h_sd), [p[0] for p in rd_pairs], [p[1] for p in rd_pairs],
-            topo.noise_sd, topo.noise_rd, plan.scale)
+            1.0, (1.0,) * n, plan.scale)
     if cfg.detector == "amld":
         det = detectors.amld_detect_batch(*args, plan.epsilons, plan.points)
     elif cfg.detector == "pld":

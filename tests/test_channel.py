@@ -16,7 +16,6 @@ class TestTopology:
         t = NetworkTopology.symmetric(3, snr_sd=10.0)
         assert t.snr_sr == (10.0,) * 3
         assert t.snr_rd == (10.0,) * 3
-        assert t.noise_sr == (1.0,) * 3
 
     def test_relay_link_override(self):
         t = NetworkTopology.symmetric(2, snr_sd=10.0, snr_relay=100.0)

@@ -45,6 +45,12 @@ class TestExitCodes:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_genie_count_without_genie_mode_returns_3(self, capsys):
+        rc = main(["simulate", "--relays", "2", "--genie-r", "2", "--snr", "10",
+                   "--frames-max", "10"])
+        assert rc == 3
+        assert "genie_r" in capsys.readouterr().err
+
 
 class TestOptimize:
     def test_prints_known_split(self, capsys):
@@ -152,7 +158,8 @@ class TestSimulate:
     @pytest.mark.parametrize("data", [{"relays": "2"}, {"relays": 2.5},
                                       {"relays": True}, {"power": "1"},
                                       {"detector": "viterbi"}, {"csv": 1},
-                                      {"snr": [10, "x"]}, {"out_dir": 3}])
+                                      {"snr": [10, "x"]}, {"out_dir": 3},
+                                      {"snr": ["5", "10"]}])
     def test_config_wrong_type_exits_2(self, tmp_path, capsys, data):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(data))
@@ -184,6 +191,17 @@ class TestReproduce:
         assert rc == 0
         assert (tmp_path / "fig4a_opcounts.dat").exists()
         assert "analytic data written" in capsys.readouterr().out
+
+    def test_simulated_figure_prints_each_curve(self, tmp_path, capsys, monkeypatch):
+        from gdmrelay import harness
+
+        monkeypatch.setitem(harness.FIGURE_PRESETS, "fig3", lambda scale, seed: {
+            "tiny": harness.ExperimentConfig(n_relays=1, m=4, k_frame=15, l_block=1,
+                                             detector="nmld", snr_grid_db=(10.0,),
+                                             max_frames=20, master_seed=seed)})
+        assert main(["reproduce", "--figure", "fig3", "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("fig3/tiny: ")
+        assert (tmp_path / "fig3_tiny.csv").exists()
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit) as exc:

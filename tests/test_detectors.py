@@ -321,6 +321,47 @@ class TestBatchEquivalence:
         assert got.tolist() == want
 
 
+class TestScaleInvariance:
+    """Decisions depend on the samples only through SNR: scaling both samples of
+    every pair by sigma and each noise variance by sigma^2 moves none of them.
+    This is why a link is described by its average SNR alone."""
+
+    @pytest.mark.parametrize("sigma", [2.0, 0.5])
+    @pytest.mark.parametrize("m,n", [(2, 1), (4, 3), (8, 1), (8, 3)])
+    def test_decisions_unchanged(self, m, n, sigma):
+        rng = substream(110, m, n)
+        alphabet = make_alphabet(m)
+        f, k = 64, 16
+
+        def cn(*shape):
+            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+
+        scale = np.where(np.arange(k) % 4 == 0, 1.0, 0.6)
+        noise_sd, noise_rd = 0.7, [0.5 + 0.4 * i for i in range(n)]
+
+        def link(nv):
+            h = 4.0 * cn(f, 1)
+            x = alphabet.points[rng.integers(0, m, size=(f, k))]
+            y2 = h + math.sqrt(nv) * cn(f, k)
+            return scale * h * x + math.sqrt(nv) * cn(f, k), y2
+
+        y_sd = link(noise_sd)
+        y_rd = [link(v) for v in noise_rd]
+        eps = [clamp_epsilon(float(rng.uniform(1e-3, 0.3))) for _ in range(n)]
+        etas = np.array([math.log((1 - e) * (m - 1) / e) for e in eps])[:, None] * (1 + scale**2)
+
+        def decide(a, var):
+            args = (a * y_sd[0], a * y_sd[1], [a * y[0] for y in y_rd], [a * y[1] for y in y_rd],
+                    var * noise_sd, [var * v for v in noise_rd], scale)
+            return [relay_detect_batch(a * y_rd[0][0], a * y_rd[0][1], scale, alphabet.points),
+                    nmld_detect_batch(*args, etas, alphabet.points),
+                    amld_detect_batch(*args, eps, alphabet.points),
+                    pld_detect_batch(*args, etas, alphabet.points)]
+
+        for base, scaled in zip(decide(1.0, 1.0), decide(sigma, sigma**2)):
+            np.testing.assert_array_equal(scaled, base)
+
+
 class TestClampEpsilon:
     def test_limits(self):
         assert clamp_epsilon(0.0) == 1e-12

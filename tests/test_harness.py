@@ -35,6 +35,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(relay_mode="genie-r", genie_r=2)
 
+    def test_rejects_genie_count_outside_genie_r_mode(self):
+        for mode in ("realistic", "genie-all"):
+            with pytest.raises(ValueError, match="genie_r"):
+                small_cfg(n_relays=2, relay_mode=mode, genie_r=2)
+
     def test_rejects_non_increasing_grid(self):
         with pytest.raises(ValueError):
             small_cfg(snr_grid_db=(10.0, 10.0))
@@ -275,6 +280,18 @@ class TestFigurePresets:
         text = (tmp_path / "fig4a_opcounts.dat").read_text()
         assert "15703" not in text  # per-M sweep at n=1, not the n=12 row
         assert len(text.splitlines()) == 5
+
+    def test_simulated_figure_writes_each_curve(self, tmp_path, monkeypatch):
+        from gdmrelay import harness
+
+        monkeypatch.setitem(harness.FIGURE_PRESETS, "fig3", lambda scale, seed: {
+            "tiny": small_cfg(snr_grid_db=(10.0,), max_frames=20, master_seed=seed)})
+        out = reproduce_figure("fig3", out_dir=tmp_path, master_seed=3)
+        assert list(out) == ["tiny"]
+        assert out["tiny"].config.master_seed == 3
+        assert out["tiny"].points[0].symbols == 20 * 15
+        for ext in ("csv", "json", "dat"):
+            assert (tmp_path / f"fig3_tiny.{ext}").exists()
 
     def test_preset_configs_are_valid(self):
         # constructing every preset validates frame shapes and powers
