@@ -47,6 +47,13 @@ def _analyze_block_length(text: str) -> int:
     return 1
 
 
+def _analyze_sr_offset(text: str) -> float:
+    if float(text) != 0:
+        raise argparse.ArgumentTypeError(
+            "the averaged closed forms are derived for symmetric links")
+    return 0.0
+
+
 def _add_simulate_args(p: argparse.ArgumentParser):
     p.add_argument("--relays", type=int, default=1)
     p.add_argument("--mod", type=int, default=4, help="PSK order M")
@@ -150,8 +157,7 @@ def _cmd_analyze(args) -> int:
     print("snr_db epsilon ser_error_free ser_erroneous ser_total")
     for snr_db in args.snr:
         g = 10.0 ** (snr_db / 10.0)
-        g_sr = 10.0 ** ((snr_db + args.sr_offset_db) / 10.0)
-        eps = analysis.relay_epsilon(pa, args.L, g_sr, args.mod)
+        eps = analysis.relay_epsilon(pa, args.L, g, args.mod)
         eta = analysis.eta_threshold(
             max(eps, 1e-12), args.mod, pa.rho_r, pa.rho_r)
         pc = analysis.ser_avg_error_free(args.relays, args.mod, eps, eta, g)
@@ -234,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mod", type=int, default=4)
     p.add_argument("--L", type=_analyze_block_length, default=1)
     p.add_argument("--power", type=float, default=1.0)
-    p.add_argument("--sr-offset-db", type=float, default=0.0)
+    p.add_argument("--sr-offset-db", type=_analyze_sr_offset, default=0.0)
     p.add_argument("--snr", type=_parse_snr_grid, default=(0, 5, 10, 15, 20, 25, 30))
     p.set_defaults(func=_cmd_analyze)
 

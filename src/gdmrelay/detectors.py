@@ -9,6 +9,10 @@ implementations used by the oracle tests; the `*_batch` variants vectorize
 the same decisions over arrays of symbols and are what the Monte Carlo
 harness calls.  Ties always break toward the lowest alphabet index.
 
+The relay, nmld and amld batch kernels decide on correlation scores
+Re(y1*conj(y2)*conj(x_t)), one real (M, ..., K) array per link with the
+alphabet axis leading, not on distances (derivation in the batch section).
+
 The coherent baseline in batch form is `nmld_detect_batch` on (y, h) pairs
 (sample and known fading coefficient) with scale 1, the alphabet times the
 amplitude and eta = `relay_reliability`.
@@ -295,48 +299,109 @@ def coherent_baseline_detect(y_sd, y_rd, h_sd, h_rd, noise_sd, noise_rd,
 # and `etas` broadcast over the trailing symbol axis (they vary with the
 # RS/NS symbol type).  For coherent pairs y_*2 is the fading coefficient,
 # shape (..., 1).  Returns 1-based index arrays of shape (..., K).
+#
+# Correlation form.  The points have one modulus (PSK, or the coherent
+# plan's sqrt(p_s) * points), so with r = y1 * conj(y2)
+#     |y1 - s*y2*x_t|^2 / v = c - (2s/v) * Re(r * conj(x_t)),
+# where c = (|y1|^2 + s^2 |y2|^2 |x|^2) / v does not depend on t.  c cancels
+# in the argmin, in the branch floor min(f, min_t f + eta) and in AMLD's
+# shifted log-sum-exp, so the relay, nmld and amld kernels maximize scores
+# q_t = w * Re(r * conj(x_t)) instead of minimizing distances.  Each link's
+# scores are one real (M, ..., K) array with the alphabet axis leading, so
+# every reduction over t runs elementwise across M slabs.
 
 
-def _batch_distances(y1, y2, scale, noise_var, points):
-    """Distance cube |y1 - scale*y2*x_t|^2 / noise_var, trailing axis t."""
-    ref = (scale * y2)[..., None] * points
-    return np.abs(y1[..., None] - ref) ** 2 / noise_var
+def _correlation(y1, y2, weight, points, out=None) -> np.ndarray:
+    """Scores weight * Re(y1 * conj(y2) * conj(x_t)), shape (M, ..., K).
+
+    ``weight`` broadcasts over the trailing symbol axis; the scores are
+    written into ``out`` when it is given.
+    """
+    r = np.empty(np.broadcast_shapes(np.shape(y1), np.shape(y2)), complex)
+    np.conjugate(y2, out=r)
+    r *= y1
+    r *= weight
+    if out is None:
+        out = np.empty((len(points), *r.shape))
+    xy = np.stack([points.real, points.imag], axis=-1)
+    np.matmul(xy, r.view(np.float64).reshape(-1, 2).T, out=out.reshape(len(points), -1))
+    return out
+
+
+def _first_argmax(scores) -> np.ndarray:
+    """1-based index of the first maximum along the leading alphabet axis."""
+    top = scores.max(axis=0)
+    index = np.ones(top.shape, np.int64)
+    below = np.ones(top.shape, bool)  # no maximum at any index <= t yet
+    hit = np.empty(top.shape, bool)
+    for s in scores[:-1]:
+        np.not_equal(s, top, out=hit)
+        below &= hit
+        index += below
+    return index
 
 
 def relay_detect_batch(y1, y2, scale, points) -> np.ndarray:
-    d = _batch_distances(y1, y2, scale, 1.0, points)
-    return np.argmin(d, axis=-1).astype(np.int64) + 1
+    """Minimum-distance decision: argmax_t scale * Re(r * conj(x_t)).
+
+    Ties go to the lowest index.
+    """
+    return _first_argmax(_correlation(y1, y2, scale, points))
 
 
 def nmld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
                       scale, etas, points) -> np.ndarray:
-    totals = _batch_distances(y_sd1, y_sd2, scale, noise_sd, points)
+    """Branch-floor decision on scores q = (2 scale / noise) * Re(r * conj(x_t)).
+
+    Maximizes q_sd,t + sum_n max(q_n,t, max_u q_n,u - eta_n), the negated
+    min(f, min f + eta) rule of `nmld_detect`.  Ties go to the lowest index.
+    """
+    w = 2 * np.asarray(scale)
+    totals = _correlation(y_sd1, y_sd2, w / noise_sd, points)
+    branch = None
     for i in range(len(y_rd1)):
-        f = _batch_distances(y_rd1[i], y_rd2[i], scale, noise_rd[i], points)
-        floor = f.min(axis=-1) + etas[i]
-        totals += np.minimum(f, floor[..., None])
-    return np.argmin(totals, axis=-1).astype(np.int64) + 1
+        branch = _correlation(y_rd1[i], y_rd2[i], w / noise_rd[i], points, out=branch)
+        floor = branch.max(axis=0)
+        floor -= etas[i]
+        np.maximum(branch, floor, out=branch)
+        totals += branch
+    return _first_argmax(totals)
 
 
 def amld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
                       scale, epsilons, points) -> np.ndarray:
+    """Averaged-ML decision on scores q = 2 scale Re(r * conj(x_t)) / ((1 + scale^2) noise).
+
+    Per relay, the mixture (1-eps) e_t + eps/(M-1) (sum_u e_u - e_t) of the
+    shifted kernels e_t = exp(q_t - max_u q_u) enters in the log domain.
+    Ties go to the lowest index.
+    """
     m = len(points)
-    s2 = np.asarray(scale) ** 2
-    log_metric = -_batch_distances(y_sd1, y_sd2, scale, noise_sd, points) / (1 + s2)[..., None]
+    s = np.asarray(scale)
+    w = 2 * s / (1 + s**2)
+    log_metric = _correlation(y_sd1, y_sd2, w / noise_sd, points)
+    branch = None
     for i in range(len(y_rd1)):
-        f = _batch_distances(y_rd1[i], y_rd2[i], scale, noise_rd[i], points)
-        f = f / (1 + s2)[..., None]
+        branch = _correlation(y_rd1[i], y_rd2[i], w / noise_rd[i], points, out=branch)
         eps = clamp_epsilon(epsilons[i])
-        fmin = f.min(axis=-1, keepdims=True)
-        e = np.exp(fmin - f)  # scaled exp(-f), max term = 1
-        total = e.sum(axis=-1, keepdims=True)
-        mix = (1 - eps) * e + eps / (m - 1) * (total - e)
-        log_metric += np.log(mix) - fmin
-    return np.argmax(log_metric, axis=-1).astype(np.int64) + 1
+        wrong = eps / (m - 1)
+        branch -= branch.max(axis=0)
+        np.exp(branch, out=branch)  # the largest term is exp(0) = 1
+        total = branch.sum(axis=0)
+        total *= wrong
+        branch *= 1 - eps - wrong
+        branch += total
+        np.log(branch, out=branch)
+        log_metric += branch
+    return _first_argmax(log_metric)
 
 
 def pld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
                      scale, etas, points) -> np.ndarray:
+    """Champion tournament of `pld_detect` in index order.
+
+    The champion stays on Lambda = 0, so ties go to the lowest index.
+    """
     m = len(points)
     r_sd = scale / noise_sd * (np.conj(y_sd1) * y_sd2)
     r_rd = [scale / noise_rd[i] * (np.conj(y_rd1[i]) * y_rd2[i])

@@ -193,8 +193,10 @@ class _PointPlan:
         return self.points[info - 1] if self.frame is None else gdm_encode(info, self.frame).u
 
     def pairs(self, y: np.ndarray, h: np.ndarray) -> tuple:
-        """Detector input pairs: (y[k1], y[k2]), or (y, h) when coherent."""
-        return (y, h[:, None]) if self.frame is None else (y[:, self.k1], y[:, self.k2])
+        """Detector input pairs: C-ordered (y[k1], y[k2]), or (y, h) when coherent."""
+        if self.frame is None:
+            return y, h[:, None]
+        return np.take(y, self.k1, axis=1), np.take(y, self.k2, axis=1)  # y[:, k] is F-ordered
 
 
 def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPlan:

@@ -108,6 +108,19 @@ class TestAnalyze:
         assert main(["analyze", "--L", "1", "--snr", "10"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
+    @pytest.mark.parametrize("offset", ["3", "-0.5", "nan"])
+    def test_sr_offset_other_than_zero_exits_2(self, offset, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", f"--sr-offset-db={offset}", "--snr", "10"])
+        assert exc.value.code == 2
+        assert "symmetric links" in capsys.readouterr().err
+
+    def test_sr_offset_zero_accepted(self, capsys):
+        assert main(["analyze", "--snr", "10,20"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["analyze", "--sr-offset-db", "0", "--snr", "10,20"]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_emits_grid_rows(self, capsys):
         assert main(["analyze", "--relays", "2", "--snr", "10,20"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

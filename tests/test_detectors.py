@@ -362,6 +362,104 @@ class TestScaleInvariance:
             np.testing.assert_array_equal(scaled, base)
 
 
+class TestBatchTieRule:
+    """With y2 = 0 every alphabet point scores alike, so every batch kernel
+    returns index 1 for every symbol, as the scalar references do."""
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (4, 3), (8, 2)])
+    def test_zero_reference_gives_index_one(self, m, n):
+        rng = substream(111, m, n)
+        alphabet = make_alphabet(m)
+        f, k = 8, 5
+
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        zero = np.zeros((f, k), complex)
+        scale = np.where(np.arange(k) % 2 == 0, 1.0, 0.6)
+        eps = [clamp_epsilon(float(rng.uniform(1e-3, 0.3))) for _ in range(n)]
+        log_terms = np.array([math.log((1 - e) * (m - 1) / e) for e in eps])
+        etas = log_terms[:, None] * (1 + scale**2)
+        y_sd1, y_rd1 = cn(f, k), [cn(f, k) for _ in range(n)]
+        args = (y_sd1, zero, y_rd1, [zero] * n, 0.8, [1.3] * n, scale)
+        ones = np.ones((f, k), np.int64)
+        np.testing.assert_array_equal(relay_detect_batch(y_sd1, zero, scale, alphabet.points),
+                                      ones)
+        np.testing.assert_array_equal(nmld_detect_batch(*args, etas, alphabet.points), ones)
+        np.testing.assert_array_equal(amld_detect_batch(*args, eps, alphabet.points), ones)
+        np.testing.assert_array_equal(pld_detect_batch(*args, etas, alphabet.points), ones)
+        h0 = np.zeros((f, 1), complex)  # coherent pairs with a zero fading coefficient
+        got = nmld_detect_batch(y_sd1, h0, y_rd1, [h0] * n, 0.8, [1.3] * n, 1.0,
+                                log_terms, 1.5 * alphabet.points)
+        np.testing.assert_array_equal(got, ones)
+
+        for j in range(k):
+            ctx = DetectionContext(y_sd_pair=(y_sd1[0, j], 0j),
+                                   y_rd_pairs=tuple((y[0, j], 0j) for y in y_rd1),
+                                   noise_sd=0.8, noise_rd=(1.3,) * n, scale=scale[j],
+                                   etas=tuple(etas[:, j]))
+            assert relay_detect((y_sd1[0, j], 0j), scale[j], alphabet) == 1
+            assert nmld_detect(ctx, alphabet) == 1
+            assert amld_detect(ctx, eps, alphabet) == 1
+            assert pld_detect(ctx, alphabet) == 1
+            assert coherent_baseline_detect(y_sd1[0, j], [y[0, j] for y in y_rd1], 0j,
+                                            [0j] * n, 0.8, [1.3] * n, eps, alphabet,
+                                            amplitude=1.5) == 1
+
+
+class TestExtremeSnr:
+    """The batch kernels equal the scalar references far outside the working
+    range, with every numpy warning raised as an error."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("snr_db", [-30.0, 90.0])
+    def test_batch_matches_scalar(self, snr_db):
+        m, n = 8, 3
+        rng = substream(112, int(snr_db) + 100)
+        alphabet = make_alphabet(m)
+        f, k = 24, 8
+        g = 10.0 ** (snr_db / 10.0)
+
+        def cn(*shape):
+            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+
+        scale = np.where(np.arange(k) % 4 == 0, 1.0, 0.6)
+
+        def link():
+            h = math.sqrt(g) * cn(f, 1)
+            x = alphabet.points[rng.integers(0, m, size=(f, k))]
+            return scale * h * x + cn(f, k), h + cn(f, k), h
+
+        (y_sd1, y_sd2, h_sd), rd = link(), [link() for _ in range(n)]
+        eps = [clamp_epsilon(float(rng.uniform(1e-3, 0.3))) for _ in range(n)]
+        log_terms = np.array([math.log((1 - e) * (m - 1) / e) for e in eps])
+        etas = log_terms[:, None] * (1 + scale**2)
+        args = (y_sd1, y_sd2, [y[0] for y in rd], [y[1] for y in rd], 1.0, [1.0] * n, scale)
+        batch = {"relay": relay_detect_batch(rd[0][0], rd[0][1], scale, alphabet.points),
+                 "nmld": nmld_detect_batch(*args, etas, alphabet.points),
+                 "amld": amld_detect_batch(*args, eps, alphabet.points),
+                 "pld": pld_detect_batch(*args, etas, alphabet.points),
+                 "coherent": nmld_detect_batch(y_sd1, h_sd, [y[0] for y in rd],
+                                               [y[2] for y in rd], 1.0, [1.0] * n, 1.0,
+                                               log_terms, alphabet.points)}
+        for i in range(f):
+            for j in range(k):
+                ctx = DetectionContext(y_sd_pair=(y_sd1[i, j], y_sd2[i, j]),
+                                       y_rd_pairs=tuple((y[0][i, j], y[1][i, j]) for y in rd),
+                                       noise_sd=1.0, noise_rd=(1.0,) * n, scale=scale[j],
+                                       etas=tuple(etas[:, j]))
+                want = {"relay": relay_detect((rd[0][0][i, j], rd[0][1][i, j]), scale[j],
+                                              alphabet),
+                        "nmld": nmld_detect(ctx, alphabet),
+                        "amld": amld_detect(ctx, eps, alphabet),
+                        "pld": pld_detect(ctx, alphabet),
+                        "coherent": coherent_baseline_detect(
+                            y_sd1[i, j], [y[0][i, j] for y in rd], h_sd[i, 0],
+                            [y[2][i, 0] for y in rd], 1.0, [1.0] * n, eps, alphabet)}
+                for kind, value in want.items():
+                    assert batch[kind][i, j] == value, (kind, i, j)
+
+
 class TestClampEpsilon:
     def test_limits(self):
         assert clamp_epsilon(0.0) == 1e-12
