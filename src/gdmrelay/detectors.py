@@ -43,6 +43,7 @@ __all__ = [
     "nmld_detect_batch",
     "amld_detect_batch",
     "pld_detect_batch",
+    "buffer",
 ]
 
 EPSILON_FLOOR = 1e-12
@@ -300,6 +301,10 @@ def coherent_baseline_detect(y_sd, y_rd, h_sd, h_rd, noise_sd, noise_rd,
 # RS/NS symbol type).  For coherent pairs y_*2 is the fading coefficient,
 # shape (..., 1).  Returns 1-based index arrays of shape (..., K).
 #
+# Every kernel takes an optional workspace ``ws`` (see `buffer`) and writes
+# all its arrays into it, the returned indices included, so the next call
+# overwrites them; without one it uses a fresh dict.
+#
 # Correlation form.  The points have one modulus (PSK, or the coherent
 # plan's sqrt(p_s) * points), so with r = y1 * conj(y2)
 #     |y1 - s*y2*x_t|^2 / v = c - (2s/v) * Re(r * conj(x_t)),
@@ -311,29 +316,36 @@ def coherent_baseline_detect(y_sd, y_rd, h_sd, h_rd, noise_sd, noise_rd,
 # every reduction over t runs elementwise across M slabs.
 
 
-def _correlation(y1, y2, weight, points, out=None) -> np.ndarray:
-    """Scores weight * Re(y1 * conj(y2) * conj(x_t)), shape (M, ..., K).
+def buffer(ws: dict, name, shape: tuple, dtype=float) -> np.ndarray:
+    """Buffer ``name`` of the workspace ``ws``, made anew when missing or when
+    its shape or dtype differs; its contents are whatever was last written."""
+    buf = ws.get(name)
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        buf = ws[name] = np.empty(shape, dtype)
+    return buf
 
-    ``weight`` broadcasts over the trailing symbol axis; the scores are
-    written into ``out`` when it is given.
-    """
-    r = np.empty(np.broadcast_shapes(np.shape(y1), np.shape(y2)), complex)
+
+def _correlation(y1, y2, weight, points, ws, name) -> np.ndarray:
+    """Scores weight * Re(y1 * conj(y2) * conj(x_t)), shape (M, ..., K), in
+    buffer ``name``; ``weight`` broadcasts over the trailing symbol axis."""
+    r = buffer(ws, "r", np.broadcast_shapes(np.shape(y1), np.shape(y2)), complex)
     np.conjugate(y2, out=r)
     r *= y1
     r *= weight
-    if out is None:
-        out = np.empty((len(points), *r.shape))
+    out = buffer(ws, name, (len(points), *r.shape))
     xy = np.stack([points.real, points.imag], axis=-1)
     np.matmul(xy, r.view(np.float64).reshape(-1, 2).T, out=out.reshape(len(points), -1))
     return out
 
 
-def _first_argmax(scores) -> np.ndarray:
+def _first_argmax(scores, ws) -> np.ndarray:
     """1-based index of the first maximum along the leading alphabet axis."""
-    top = scores.max(axis=0)
-    index = np.ones(top.shape, np.int64)
-    below = np.ones(top.shape, bool)  # no maximum at any index <= t yet
-    hit = np.empty(top.shape, bool)
+    top = np.max(scores, axis=0, out=buffer(ws, "top", scores.shape[1:]))
+    index = buffer(ws, "index", top.shape, np.int64)
+    index.fill(1)
+    below = buffer(ws, "below", top.shape, bool)  # no maximum at any index <= t yet
+    below.fill(True)
+    hit = buffer(ws, "hit", top.shape, bool)
     for s in scores[:-1]:
         np.not_equal(s, top, out=hit)
         below &= hit
@@ -341,82 +353,86 @@ def _first_argmax(scores) -> np.ndarray:
     return index
 
 
-def relay_detect_batch(y1, y2, scale, points) -> np.ndarray:
+def relay_detect_batch(y1, y2, scale, points, ws=None) -> np.ndarray:
     """Minimum-distance decision: argmax_t scale * Re(r * conj(x_t)).
 
     Ties go to the lowest index.
     """
-    return _first_argmax(_correlation(y1, y2, scale, points))
+    ws = {} if ws is None else ws
+    return _first_argmax(_correlation(y1, y2, scale, points, ws, "branch"), ws)
 
 
 def nmld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
-                      scale, etas, points) -> np.ndarray:
+                      scale, etas, points, ws=None) -> np.ndarray:
     """Branch-floor decision on scores q = (2 scale / noise) * Re(r * conj(x_t)).
 
     Maximizes q_sd,t + sum_n max(q_n,t, max_u q_n,u - eta_n), the negated
     min(f, min f + eta) rule of `nmld_detect`.  Ties go to the lowest index.
     """
+    ws = {} if ws is None else ws
     w = 2 * np.asarray(scale)
-    totals = _correlation(y_sd1, y_sd2, w / noise_sd, points)
-    branch = None
+    totals = _correlation(y_sd1, y_sd2, w / noise_sd, points, ws, "totals")
     for i in range(len(y_rd1)):
-        branch = _correlation(y_rd1[i], y_rd2[i], w / noise_rd[i], points, out=branch)
-        floor = branch.max(axis=0)
+        branch = _correlation(y_rd1[i], y_rd2[i], w / noise_rd[i], points, ws, "branch")
+        floor = np.max(branch, axis=0, out=buffer(ws, "top", branch.shape[1:]))
         floor -= etas[i]
         np.maximum(branch, floor, out=branch)
         totals += branch
-    return _first_argmax(totals)
+    return _first_argmax(totals, ws)
 
 
 def amld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
-                      scale, epsilons, points) -> np.ndarray:
+                      scale, epsilons, points, ws=None) -> np.ndarray:
     """Averaged-ML decision on scores q = 2 scale Re(r * conj(x_t)) / ((1 + scale^2) noise).
 
     Per relay, the mixture (1-eps) e_t + eps/(M-1) (sum_u e_u - e_t) of the
     shifted kernels e_t = exp(q_t - max_u q_u) enters in the log domain.
     Ties go to the lowest index.
     """
+    ws = {} if ws is None else ws
     m = len(points)
     s = np.asarray(scale)
     w = 2 * s / (1 + s**2)
-    log_metric = _correlation(y_sd1, y_sd2, w / noise_sd, points)
-    branch = None
+    log_metric = _correlation(y_sd1, y_sd2, w / noise_sd, points, ws, "totals")
     for i in range(len(y_rd1)):
-        branch = _correlation(y_rd1[i], y_rd2[i], w / noise_rd[i], points, out=branch)
+        branch = _correlation(y_rd1[i], y_rd2[i], w / noise_rd[i], points, ws, "branch")
         eps = clamp_epsilon(epsilons[i])
         wrong = eps / (m - 1)
-        branch -= branch.max(axis=0)
+        top = np.max(branch, axis=0, out=buffer(ws, "top", branch.shape[1:]))
+        branch -= top
         np.exp(branch, out=branch)  # the largest term is exp(0) = 1
-        total = branch.sum(axis=0)
+        total = np.sum(branch, axis=0, out=top)
         total *= wrong
         branch *= 1 - eps - wrong
         branch += total
         np.log(branch, out=branch)
         log_metric += branch
-    return _first_argmax(log_metric)
+    return _first_argmax(log_metric, ws)
 
 
 def pld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
-                     scale, etas, points) -> np.ndarray:
+                     scale, etas, points, ws=None) -> np.ndarray:
     """Champion tournament of `pld_detect` in index order.
 
     The champion stays on Lambda = 0, so ties go to the lowest index.
     """
-    m = len(points)
-    r_sd = scale / noise_sd * (np.conj(y_sd1) * y_sd2)
-    r_rd = [scale / noise_rd[i] * (np.conj(y_rd1[i]) * y_rd2[i])
-            for i in range(len(y_rd1))]
-
-    def llr(p_idx, q):
-        diff = points[p_idx - 1] - points[q - 1]
-        lam = (r_sd * diff).real
-        for i, r in enumerate(r_rd):
-            t = (r * diff).real
-            half = etas[i] / 2
-            lam += np.clip(t, -half, half)
-        return lam
-
-    champ = np.ones(np.shape(y_sd1), dtype=np.int64)
-    for q in range(2, m + 1):
-        champ = np.where(llr(champ, q) < 0, q, champ)
+    ws = {} if ws is None else ws
+    shape = np.shape(y_sd1)
+    r = buffer(ws, "r_links", (len(y_rd1) + 1, *shape), complex)
+    champ, row = (buffer(ws, name, shape, np.int64) for name in ("index", "row"))
+    diff, prod, term = (buffer(ws, name, shape, complex) for name in ("diff", "prod", "term"))
+    clipped, lose = buffer(ws, "clipped", shape), buffer(ws, "hit", shape, bool)
+    for r_i, y1, y2, nv in zip(r, [y_sd1, *y_rd1], [y_sd2, *y_rd2], [noise_sd, *noise_rd]):
+        np.conjugate(y1, out=r_i)
+        r_i *= y2
+        np.multiply(scale / nv, r_i, out=r_i)
+    champ.fill(1)
+    for q in range(2, len(points) + 1):
+        np.take(points, np.subtract(champ, 1, out=row), out=diff, mode="clip")
+        diff -= points[q - 1]
+        lam = np.multiply(r[0], diff, out=prod).real  # Lambda accumulates in prod.real
+        for r_i, eta in zip(r[1:], etas):
+            half = eta / 2
+            lam += np.clip(np.multiply(r_i, diff, out=term).real, -half, half, out=clipped)
+        np.copyto(champ, q, where=np.less(lam, 0, out=lose))
     return champ

@@ -5,15 +5,24 @@ re-encoding, and destination detection for every point of an SNR sweep,
 accumulating symbol error counts until a stop rule is met.
 
 One pipeline (`_simulate_batch`) serves the differential schemes and the
-coherent reference.  A plan built once per SNR point holds the invariants and
-the two scheme-specific steps: the encoder and the (y1, y2) pairs the batch
-detectors compare, (y[k1], y[k2]) for differential and (y, h) for coherent.
+coherent reference.  A plan built once per SNR point holds the invariants;
+the two scheme-specific steps branch on it: the encoder (`_encode_batch`) and
+the (y1, y2) pairs the batch detectors compare (`_PointPlan.receive`),
+(y[k1], y[k2]) for differential and (y, h) for coherent.
 
 Each point runs in batches of ``BATCH_FRAMES`` frames (the last one may be
 shorter), in waves of ``workers`` batches: a wave runs in the process pool
 when there is one, and the next wave starts only when the stop rule still
 holds.  Batch counts are accumulated in batch-index order and the point stops
 at the first batch that reaches ``min_errors``, mid-wave if need be.
+
+Workspace rule: the batch-shaped arrays (encoded and received samples, the
+noise, the detector pairs, the kernels' scores) live in one workspace per
+thread, a dict of named buffers that every stage writes into with ``out=``,
+so steady-state batches allocate almost nothing.  It holds one batch shape
+(frames, K, M, N, coherent or not) at a time: a batch of another shape
+replaces it.  `run_ser_experiment` drops it on return; pool workers fill
+their own.  Nothing returned aliases it: a batch's error mask is fresh.
 
 Reproducibility contract: random draws are keyed by
 (master_seed, point_index, batch_index) with a fixed frame-batch size, so
@@ -28,6 +37,7 @@ import functools
 import itertools
 import json
 import math
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
@@ -36,8 +46,8 @@ import numpy as np
 
 from gdmrelay import analysis, detectors
 from gdmrelay.channel import ChannelRealization, NetworkTopology, complex_normal, substream
-from gdmrelay.detectors import clamp_epsilon, count_ops, relay_reliability
-from gdmrelay.modulation import GdmFrameConfig, PowerAllocation, gdm_encode, make_alphabet
+from gdmrelay.detectors import buffer, clamp_epsilon, count_ops, relay_reliability
+from gdmrelay.modulation import GdmFrameConfig, PowerAllocation, _encode_samples, make_alphabet
 from gdmrelay.power import optimize_power
 
 __all__ = [
@@ -56,6 +66,7 @@ __all__ = [
 DETECTOR_KINDS = ("nmld", "amld", "pld", "coherent", "relay-only")
 RELAY_MODES = ("realistic", "genie-all", "genie-r")
 BATCH_FRAMES = 256  # fixed rng keying unit; do not change between runs
+_SLOT = threading.local()  # this thread's batch workspace: .key and .ws
 
 
 @dataclass(frozen=True)
@@ -188,15 +199,19 @@ class _PointPlan:
     epsilons: tuple
     etas: np.ndarray
 
-    def encode(self, info: np.ndarray) -> np.ndarray:
-        """Transmitted samples of (F, K) info indices."""
-        return self.points[info - 1] if self.frame is None else gdm_encode(info, self.frame).u
-
-    def pairs(self, y: np.ndarray, h: np.ndarray) -> tuple:
-        """Detector input pairs: C-ordered (y[k1], y[k2]), or (y, h) when coherent."""
-        if self.frame is None:
+    def receive(self, rng, h: np.ndarray, u: np.ndarray, ws: dict, link) -> tuple:
+        """Detector pairs of h*u + unit noise on ``link``: C-ordered (y[k1], y[k2]),
+        or (y, h) when coherent.  Differential links share one y buffer, as
+        their pairs are taken at once; a coherent y is a pair, one per link."""
+        coherent = self.frame is None
+        y = buffer(ws, ("y", link) if coherent else "y", u.shape, complex)
+        np.multiply(h[:, None], u, out=y)
+        complex_normal(rng, 1.0, u.shape, add_to=y, scratch=buffer(ws, "noise", u.shape))
+        if coherent:
             return y, h[:, None]
-        return np.take(y, self.k1, axis=1), np.take(y, self.k2, axis=1)  # y[:, k] is F-ordered
+        shape = (len(u), len(self.k1))  # y[:, k] would be F-ordered; "clip" avoids a staging copy
+        return tuple(np.take(y, k, axis=1, out=buffer(ws, (name, link), shape, complex),
+                             mode="clip") for name, k in (("y1", self.k1), ("y2", self.k2)))
 
 
 def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPlan:
@@ -214,6 +229,16 @@ def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPl
     return _PointPlan(cfg.topology(snr_db), fc, points, k1, k2, scale, epsilons, etas)
 
 
+def _encode_batch(plan: _PointPlan, info: np.ndarray, ws: dict, name) -> np.ndarray:
+    """Transmitted samples of (F, K) info indices, in workspace buffer ``name``."""
+    f, k = info.shape
+    u = buffer(ws, name, (f, k if plan.frame is None else k + 1), complex)
+    phase = buffer(ws, "phase", u.shape, np.int64)
+    if plan.frame is None:
+        return np.take(plan.points, np.subtract(info, 1, out=phase), out=u, mode="clip")
+    return _encode_samples(info, plan.frame, u, phase)
+
+
 def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
                     rng: np.random.Generator, n_frames: int,
                     realization: ChannelRealization | None = None) -> np.ndarray:
@@ -221,9 +246,13 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
     boolean symbol-error mask (True = symbol error)."""
     topo = plan.topo
     n = cfg.n_relays
+    key = (n_frames, cfg.k_frame, cfg.m, n, plan.frame is None)
+    if getattr(_SLOT, "key", None) != key:  # a new batch shape replaces the workspace
+        _SLOT.key, _SLOT.ws = key, {}
+    ws = _SLOT.ws
 
     info = rng.integers(1, cfg.m + 1, size=(n_frames, cfg.k_frame))
-    u_s = plan.encode(info)
+    u_s = _encode_batch(plan, info, ws, "u_s")
 
     if realization is None:
         h_sd = complex_normal(rng, topo.snr_sd, size=n_frames)
@@ -234,27 +263,27 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
         h_sr = [np.full(n_frames, realization.h_sr[i]) for i in range(n)]
         h_rd = [np.full(n_frames, realization.h_rd[i]) for i in range(n)]
 
-    y_sd = h_sd[:, None] * u_s + complex_normal(rng, 1.0, size=u_s.shape)
+    sd_pair = plan.receive(rng, h_sd, u_s, ws, "sd")
 
     forced = {"genie-all": n, "genie-r": cfg.genie_r}.get(cfg.relay_mode, 0)
     rd_pairs = []
     for i in range(n):
-        y_sr = h_sr[i][:, None] * u_s + complex_normal(rng, 1.0, size=u_s.shape)
-        det = detectors.relay_detect_batch(*plan.pairs(y_sr, h_sr[i]), plan.scale, plan.points)
+        # relay i's S-R pair is dead before its R-D pair is taken: they share buffers
+        sr_pair = plan.receive(rng, h_sr[i], u_s, ws, i)
+        det = detectors.relay_detect_batch(*sr_pair, plan.scale, plan.points, ws)
         if cfg.detector == "relay-only":
             return det != info
-        u_r = plan.encode(info if i < forced else det)
-        y_rd = h_rd[i][:, None] * u_r + complex_normal(rng, 1.0, size=u_r.shape)
-        rd_pairs.append(plan.pairs(y_rd, h_rd[i]))
+        u_r = _encode_batch(plan, info if i < forced else det, ws, "u_r")
+        rd_pairs.append(plan.receive(rng, h_rd[i], u_r, ws, i))
 
-    args = (*plan.pairs(y_sd, h_sd), [p[0] for p in rd_pairs], [p[1] for p in rd_pairs],
+    args = (*sd_pair, [p[0] for p in rd_pairs], [p[1] for p in rd_pairs],
             1.0, (1.0,) * n, plan.scale)
     if cfg.detector == "amld":
-        det = detectors.amld_detect_batch(*args, plan.epsilons, plan.points)
+        det = detectors.amld_detect_batch(*args, plan.epsilons, plan.points, ws)
     elif cfg.detector == "pld":
-        det = detectors.pld_detect_batch(*args, plan.etas, plan.points)
+        det = detectors.pld_detect_batch(*args, plan.etas, plan.points, ws)
     else:  # nmld, and coherent: the same branch-floor rule on (y, h) pairs
-        det = detectors.nmld_detect_batch(*args, plan.etas, plan.points)
+        det = detectors.nmld_detect_batch(*args, plan.etas, plan.points, ws)
     return det != info
 
 
@@ -318,6 +347,7 @@ def run_ser_experiment(cfg: ExperimentConfig) -> SimResult:
     finally:
         if pool is not None:
             pool.shutdown()
+        vars(_SLOT).clear()
     elapsed = time.perf_counter() - t0
     ops = None
     if cfg.detector in ("nmld", "amld", "pld") and cfg.n_relays >= 1:

@@ -142,23 +142,20 @@ class EncodedFrame:
     ref_mask: np.ndarray
 
 
-def _phase_indices(info: np.ndarray, cfg: GdmFrameConfig) -> np.ndarray:
+def _phase_indices(info: np.ndarray, cfg: GdmFrameConfig, out=None) -> np.ndarray:
     """Cumulative 0-based phase index of every transmitted sample.
 
-    Works along the last axis of ``info`` (..., K) and returns (..., K+1).
-    Position 0 carries phase 0; position k1 carries the phase of its pair
-    partner k2 plus its own offset.  Every k2 is a block head, whose phase is
-    the running sum of the head offsets.
+    Works along the last axis of ``info`` (..., K) and returns (..., K+1),
+    in ``out`` when it is given.  Position 0 carries phase 0; position k1
+    carries the phase of its pair partner k2 plus its own offset.  Every k2
+    is a block head, whose phase is the running sum of the head offsets.
     """
-    l = cfg.l_block
-    _, k2 = cfg.pair_positions()
-    phase = np.empty(info.shape[:-1] + (cfg.k_frame + 1,), dtype=np.int64)
+    phase = np.empty(info.shape[:-1] + (cfg.k_frame + 1,), np.int64) if out is None else out
     phase[..., 0] = 0
-    offsets = np.subtract(info, 1, out=phase[..., 1:])  # a view, turned into phases in place
-    heads = np.empty(info.shape[:-1] + (cfg.n_blocks,), dtype=np.int64)
-    heads[..., 0] = 0
-    np.cumsum(offsets[..., l - 1::l], axis=-1, out=heads[..., 1:])
-    offsets += heads[..., k2 // l]
+    np.subtract(info, 1, out=phase[..., 1:])  # offsets, turned into phases in place
+    blocks = phase.reshape(info.shape[:-1] + (cfg.n_blocks, cfg.l_block))  # K+1 = blocks * L
+    np.cumsum(blocks[..., 0], axis=-1, out=blocks[..., 0])  # the heads
+    blocks[..., 1:] += blocks[..., :1]  # each normal symbol on its own block head
     phase %= cfg.m
     return phase
 
@@ -176,12 +173,16 @@ def gdm_encode(info, cfg: GdmFrameConfig) -> EncodedFrame:
         raise ValueError(f"expected {cfg.k_frame} info symbols, got shape {info.shape}")
     if info.min(initial=cfg.m) < 1 or info.max(initial=1) > cfg.m:
         raise ValueError("info indices must lie in [1, M]")
-    alphabet = make_alphabet(cfg.m)
-    phase = _phase_indices(info, cfg)
-    mask = cfg.ref_mask()
-    u = alphabet.points[phase]
-    u *= np.where(mask, np.sqrt(cfg.power.rho_r), np.sqrt(cfg.power.rho_n))
-    return EncodedFrame(u=u, info=info.copy(), ref_mask=mask)
+    return EncodedFrame(u=_encode_samples(info, cfg), info=info.copy(), ref_mask=cfg.ref_mask())
+
+
+def _encode_samples(info: np.ndarray, cfg: GdmFrameConfig, u=None, phase=None) -> np.ndarray:
+    """The samples of `gdm_encode` from unchecked (..., K) int64 indices,
+    written into ``u`` (and the phase indices into ``phase``) when given."""
+    # mode="clip" writes straight into u; "raise" would stage it in a fresh copy
+    u = np.take(make_alphabet(cfg.m).points, _phase_indices(info, cfg, phase), out=u, mode="clip")
+    u *= np.where(cfg.ref_mask(), np.sqrt(cfg.power.rho_r), np.sqrt(cfg.power.rho_n))
+    return u
 
 
 def noiseless_decode(frame: EncodedFrame, cfg: GdmFrameConfig) -> np.ndarray:

@@ -1,13 +1,18 @@
-"""Microbenchmarks of the batch detection kernels (pytest-benchmark).
+"""Microbenchmarks of the batch detection kernels and of whole batches (pytest-benchmark).
 
-One 256-frame batch of N=3 relays, M=4, K=127, with the pair layout, scales
-and thresholds the harness builds at 18 dB.  The file name keeps it out of
-the default test run; run it with
+The kernel benchmarks time one 256-frame batch of N=3 relays, M=4, K=127,
+with the pair layout, scales and thresholds the harness builds at 18 dB, and
+one reused workspace, as the harness calls them.  The batch benchmarks time
+`harness._simulate_batch` at the shapes of the two gated benchmark workloads
+and record the minor page faults per batch (``ru_minflt``) in
+``extra_info``, so allocator churn shows.  The file name keeps it out of the
+default test run; run it with
 
     python3 -m pytest tests/perf_kernels.py --benchmark-only
 """
 
-import numpy as np
+import resource
+
 import pytest
 
 from gdmrelay import detectors, harness
@@ -24,12 +29,13 @@ def batch():
                                    snr_grid_db=(SNR_DB,))
     plan = harness._point_plan(cfg, SNR_DB)
     rng = substream(5, 0)
-    gain = np.sqrt(10.0 ** (SNR_DB / 10.0))
+    gain = 10.0 ** (SNR_DB / 20.0)
     pairs = []
-    for _ in range(N + 1):
-        h = gain * harness.complex_normal(rng, 1.0, size=(FRAMES, 1))
-        u = plan.encode(rng.integers(1, M + 1, size=(FRAMES, K)))
-        pairs.append(plan.pairs(h * u + harness.complex_normal(rng, 1.0, size=u.shape), None))
+    for i in range(N + 1):
+        ws = {}  # a workspace per link, so the pairs stay apart
+        u = harness._encode_batch(plan, rng.integers(1, M + 1, size=(FRAMES, K)), ws, "u")
+        pairs.append(plan.receive(rng, gain * harness.complex_normal(rng, 1.0, FRAMES),
+                                  u, ws, i))
     args = (*pairs[0], [p[0] for p in pairs[1:]], [p[1] for p in pairs[1:]],
             1.0, (1.0,) * N, plan.scale)
     return plan, pairs, args
@@ -37,19 +43,51 @@ def batch():
 
 def test_relay(benchmark, batch):
     plan, pairs, _ = batch
-    benchmark(detectors.relay_detect_batch, *pairs[1], plan.scale, plan.points)
+    benchmark(detectors.relay_detect_batch, *pairs[1], plan.scale, plan.points, {})
 
 
 def test_nmld(benchmark, batch):
     plan, _, args = batch
-    benchmark(detectors.nmld_detect_batch, *args, plan.etas, plan.points)
+    benchmark(detectors.nmld_detect_batch, *args, plan.etas, plan.points, {})
 
 
 def test_amld(benchmark, batch):
     plan, _, args = batch
-    benchmark(detectors.amld_detect_batch, *args, plan.epsilons, plan.points)
+    benchmark(detectors.amld_detect_batch, *args, plan.epsilons, plan.points, {})
 
 
 def test_pld(benchmark, batch):
     plan, _, args = batch
-    benchmark(detectors.pld_detect_batch, *args, plan.etas, plan.points)
+    benchmark(detectors.pld_detect_batch, *args, plan.etas, plan.points, {})
+
+
+# the sweeps of the gated benchmark workloads, at one of their SNR points
+BATCH_SHAPES = {
+    "dm-relays-nmld": dict(n_relays=3, k_frame=127, l_block=1, detector="nmld", snr=18.0),
+    "dm-relays-amld": dict(n_relays=3, k_frame=127, l_block=1, detector="amld", snr=18.0),
+    "dm-relays-pld": dict(n_relays=3, k_frame=127, l_block=1, detector="pld", snr=18.0),
+    "gdm-long-nmld": dict(n_relays=1, k_frame=511, l_block=256, detector="nmld", snr=28.0),
+    "gdm-long-coherent": dict(n_relays=1, k_frame=511, l_block=1, detector="coherent",
+                              snr=28.0),
+}
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES)
+def test_simulate_batch(benchmark, shape):
+    kw = dict(BATCH_SHAPES[shape])
+    snr = kw.pop("snr")
+    cfg = harness.ExperimentConfig(m=M, snr_grid_db=(snr,), **kw)
+    plan = harness._point_plan(cfg, snr)
+    calls = 0
+
+    def run():
+        nonlocal calls
+        calls += 1
+        return harness._simulate_batch(cfg, plan, substream(0, 0, calls), FRAMES)
+
+    run()  # the first batch of a shape fills the workspace
+    calls = 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    benchmark(run)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    benchmark.extra_info["minor_faults_per_batch"] = faults / calls

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdmrelay.channel import substream
 from gdmrelay.detectors import (
@@ -20,7 +21,8 @@ from gdmrelay.detectors import (
     relay_detect,
     relay_detect_batch,
 )
-from gdmrelay.modulation import make_alphabet
+from gdmrelay.modulation import GdmFrameConfig, gdm_encode, make_alphabet
+from gdmrelay.power import optimize_power
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +460,83 @@ class TestExtremeSnr:
                             [y[2][i, 0] for y in rd], 1.0, [1.0] * n, eps, alphabet)}
                 for kind, value in want.items():
                     assert batch[kind][i, j] == value, (kind, i, j)
+
+
+class TestBatchProperty:
+    """Every batch kernel equals its scalar reference over random frame shapes
+    (M, L, K, N) and SNRs, extremes included.  The kernels share one workspace
+    and run on the whole batch, on a strided sub-batch and on the whole batch
+    again, so buffers are replaced and reused between calls."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.sampled_from([2, 4, 8, 16]), l=st.sampled_from([1, 2, 4, 8]),
+           blocks=st.integers(2, 4), n=st.integers(0, 4), frames=st.integers(1, 3),
+           snr_db=st.one_of(st.sampled_from([-30.0, 90.0]), st.floats(-30.0, 90.0)),
+           amplitude=st.floats(0.5, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_batch_matches_scalar(self, m, l, blocks, n, frames, snr_db, amplitude, seed):
+        rng = np.random.default_rng(seed)
+        alphabet = make_alphabet(m)
+        fc = GdmFrameConfig(k_frame=blocks * l - 1, l_block=l, m=m,
+                            power=optimize_power(l).as_allocation())
+        k1, k2 = fc.pair_positions()
+        scale = np.where(fc.ref_mask()[k1], 1.0, fc.power.ns_scale)
+        g = 10.0 ** (snr_db / 10.0)
+
+        def cn(*shape):
+            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+
+        def link(u):
+            h = math.sqrt(g) * cn(frames, 1)
+            return h * u + cn(*u.shape), h
+
+        u = gdm_encode(rng.integers(1, m + 1, size=(frames, fc.k_frame)), fc).u
+        diff = [link(u) for _ in range(n + 1)]
+        pairs = [(y[:, k1], y[:, k2]) for y, _ in diff]
+        coh = [link(amplitude * alphabet.points[rng.integers(0, m, size=(frames, fc.k_frame))])
+               for _ in range(n + 1)]
+        eps = [clamp_epsilon(float(rng.uniform(1e-4, 0.3))) for _ in range(n)]
+        log_terms = np.array([math.log((1 - e) * (m - 1) / e) for e in eps])
+        etas = log_terms[:, None] * (1 + scale**2)
+
+        def run(ws, cut):
+            """Every kernel on symbols ``cut``, results copied out of ``ws``."""
+            p = [(a[:, cut], b[:, cut]) for a, b in pairs]
+            args = (*p[0], [a for a, _ in p[1:]], [b for _, b in p[1:]], 1.0, [1.0] * n,
+                    scale[cut])
+            calls = {"relay": lambda: relay_detect_batch(*p[-1], scale[cut], alphabet.points, ws),
+                     "nmld": lambda: nmld_detect_batch(*args, etas[:, cut], alphabet.points, ws),
+                     "amld": lambda: amld_detect_batch(*args, eps, alphabet.points, ws),
+                     "pld": lambda: pld_detect_batch(*args, etas[:, cut], alphabet.points, ws),
+                     "coherent": lambda: nmld_detect_batch(
+                         coh[0][0][:, cut], coh[0][1], [y[:, cut] for y, _ in coh[1:]],
+                         [h for _, h in coh[1:]], 1.0, [1.0] * n, 1.0, log_terms,
+                         amplitude * alphabet.points, ws)}
+            return {kind: call().copy() for kind, call in calls.items()}  # the next call reuses ws
+
+        ws = {}
+        whole = run(ws, slice(None))
+        part = run(ws, slice(None, None, 2))
+        again = run(ws, slice(None))
+        for i in range(frames):
+            for j in range(fc.k_frame):
+                ctx = DetectionContext(y_sd_pair=(pairs[0][0][i, j], pairs[0][1][i, j]),
+                                       y_rd_pairs=tuple((a[i, j], b[i, j]) for a, b in pairs[1:]),
+                                       noise_sd=1.0, noise_rd=(1.0,) * n, scale=scale[j],
+                                       etas=tuple(etas[:, j]))
+                want = {"relay": relay_detect((pairs[-1][0][i, j], pairs[-1][1][i, j]),
+                                              scale[j], alphabet),
+                        "nmld": nmld_detect(ctx, alphabet),
+                        "amld": amld_detect(ctx, eps, alphabet),
+                        "pld": pld_detect(ctx, alphabet),
+                        "coherent": coherent_baseline_detect(
+                            coh[0][0][i, j], [y[i, j] for y, _ in coh[1:]], coh[0][1][i, 0],
+                            [h[i, 0] for _, h in coh[1:]], 1.0, [1.0] * n, eps, alphabet,
+                            amplitude=amplitude)}
+                for kind, value in want.items():
+                    assert whole[kind][i, j] == value, (kind, i, j)
+                    assert again[kind][i, j] == value, (kind, i, j)
+                    if j % 2 == 0:
+                        assert part[kind][i, j // 2] == value, (kind, i, j)
 
 
 class TestClampEpsilon:

@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from gdmrelay import harness
 from gdmrelay.channel import ChannelRealization, substream
 from gdmrelay.harness import (
     BATCH_FRAMES,
@@ -301,3 +304,81 @@ class TestFigurePresets:
             runs = builder("desk", 0)
             for cfg in runs.values():
                 assert isinstance(cfg, ExperimentConfig)
+
+
+def _batch(cfg, n_frames, key):
+    """One `_simulate_batch` of ``cfg`` at its first SNR point, keyed by ``key``."""
+    plan = harness._point_plan(cfg, cfg.snr_grid_db[0])
+    return harness._simulate_batch(cfg, plan, substream(cfg.master_seed, 0, key), n_frames)
+
+
+def _in_fresh_thread(fn, *args):
+    """``fn(*args)`` run in a new thread, whose workspace starts empty."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn(*args)))
+    thread.start()
+    thread.join()
+    return out[0]
+
+
+class TestWorkspace:
+    """The per-thread batch workspace changes no result: every mask equals the
+    same batch run with an empty workspace, and no mask aliases it."""
+
+    # (config, frames): N = 0..3, M in {2, 8}, L in {1, 4}, every scheme kind and
+    # mode, repeated shapes (reuse) and changed shapes (replacement) in turn
+    SEQUENCE = [
+        (small_cfg(n_relays=0, m=2), 40),
+        (small_cfg(n_relays=0, m=2, master_seed=6), 40),
+        (small_cfg(n_relays=1, m=8, l_block=4), 40),
+        (small_cfg(n_relays=2, m=8, detector="amld"), 40),
+        (small_cfg(n_relays=3, m=2, l_block=4, detector="pld"), 40),
+        (small_cfg(n_relays=3, m=2, l_block=4, detector="pld", master_seed=7), 40),
+        (small_cfg(n_relays=2, m=8, detector="coherent"), 40),
+        (small_cfg(n_relays=3, m=2, l_block=4, detector="relay-only"), 40),
+        (small_cfg(n_relays=3, m=8, l_block=4, relay_mode="genie-r", genie_r=1), 40),
+        (small_cfg(n_relays=3, m=8, l_block=4, relay_mode="genie-r", genie_r=1), 13),
+        (small_cfg(n_relays=1, m=8, l_block=4), 40),
+    ]
+
+    def test_sequence_matches_fresh_threads(self):
+        masks = [_batch(cfg, f, i) for i, (cfg, f) in enumerate(self.SEQUENCE)]
+        kept = [m.copy() for m in masks]
+        for i, (cfg, f) in enumerate(self.SEQUENCE):
+            np.testing.assert_array_equal(masks[i], _in_fresh_thread(_batch, cfg, f, i))
+            np.testing.assert_array_equal(masks[i], kept[i])  # later batches left it alone
+            assert masks[i].shape == (f, cfg.k_frame)
+        assert 0 < sum(m.sum() for m in masks) < sum(m.size for m in masks)
+
+    def test_concurrent_threads_match_serial(self):
+        # more threads than cores, switching often, each on its own batch shape
+        configs = [self.SEQUENCE[i] for i in (3, 4, 6, 7)]
+        serial = [[_batch(cfg, f, k) for k in range(4)] for cfg, f in configs]
+        start = threading.Barrier(len(configs))
+        results = [None] * len(configs)
+
+        def run(i):
+            cfg, f = configs[i]
+            start.wait(timeout=60)
+            results[i] = [_batch(cfg, f, k) for k in range(4)]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, serial):
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+    def test_experiment_drops_the_workspace(self):
+        _batch(*self.SEQUENCE[2], 0)
+        assert vars(harness._SLOT)
+        run_ser_experiment(small_cfg(max_frames=20, min_errors=10**9))
+        assert not vars(harness._SLOT)
