@@ -8,6 +8,10 @@ erroneous relaying parts), and the diversity-order formulas.
 The averaged multi-relay forms assume symmetric relay links (one common
 average SNR for all source-relay and relay-destination links) and the
 classical differential scheme (block length 1).
+
+`scipy.special` (erfc, Bessel K) loads on the first closed-form call that
+needs it, so a Monte Carlo run, whose relay error rates are pure `math`,
+never imports it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+import scipy
 
 from gdmrelay.channel import effective_receive_snr
 from gdmrelay.detectors import clamp_epsilon, relay_reliability
@@ -52,7 +56,7 @@ class SerPrediction:
 def q_function(x):
     """Gaussian tail probability Q(x) = P[N(0,1) > x]."""
     x = np.asarray(x, dtype=float)
-    out = 0.5 * special.erfc(x / math.sqrt(2.0))
+    out = 0.5 * scipy.special.erfc(x / math.sqrt(2.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -133,12 +137,12 @@ def bessel_k(order: int, x: float) -> float:
         raise ValueError("x must be > 0")
     if order < 0 or int(order) != order:
         raise ValueError("order must be a non-negative integer")
-    return float(special.kv(int(order), x))
+    return float(scipy.special.kv(int(order), x))
 
 
 def _log_kve(order: int, z: float) -> float:
     """log of exp(z) * K_order(z)."""
-    return math.log(float(special.kve(int(order), z)))
+    return math.log(float(scipy.special.kve(int(order), z)))
 
 
 def ser_avg_error_free(n_relays: int, m: int, epsilon: float, eta: float,

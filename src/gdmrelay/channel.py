@@ -9,11 +9,13 @@ samples only through SNR, so a link is described by its average SNR alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
+    "db_to_linear",
     "NetworkTopology",
     "ChannelRealization",
     "substream",
@@ -21,6 +23,14 @@ __all__ = [
     "transmit",
     "effective_receive_snr",
 ]
+
+
+def db_to_linear(db: float) -> float:
+    """10^(db/10); inf where that overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -39,8 +49,8 @@ class NetworkTopology:
         object.__setattr__(self, "snr_rd", tuple(self.snr_rd))
         if len(self.snr_sr) != self.n_relays or len(self.snr_rd) != self.n_relays:
             raise ValueError("per-relay SNR tuples must have length n_relays")
-        if not all(v > 0 for v in (self.snr_sd, *self.snr_sr, *self.snr_rd)):
-            raise ValueError("all SNRs must be > 0")
+        if not all(0 < v < math.inf for v in (self.snr_sd, *self.snr_sr, *self.snr_rd)):
+            raise ValueError("all SNRs must be finite and > 0")
 
     @classmethod
     def symmetric(cls, n_relays: int, snr_sd: float, snr_relay: float | None = None):

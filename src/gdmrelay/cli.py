@@ -19,23 +19,28 @@ import math
 import sys
 
 from gdmrelay import analysis, harness, power
+from gdmrelay.channel import db_to_linear
 from gdmrelay.detectors import count_ops
 from gdmrelay.harness import ExperimentConfig, run_ser_experiment
 
 def _parse_snr_grid(text: str):
-    """'start:step:stop' (inclusive) or a comma list of dB values."""
+    """'start:step:stop' (inclusive) or a comma list of dB values, each with a
+    finite linear SNR above 0 (so no inf, nan or dB value that overflows)."""
     try:
         if ":" in text:
             start, step, stop = (float(v) for v in text.split(":"))
-            if step <= 0 or stop < start:
+            if not (0 < step < math.inf and -math.inf < start <= stop < math.inf):
                 raise ValueError
             grid = []
             v = start
             while v <= stop + 1e-9:
                 grid.append(round(v, 10))
                 v += step
-            return tuple(grid)
-        return tuple(float(v) for v in text.split(","))
+        else:
+            grid = [float(v) for v in text.split(",")]
+        if not all(0 < db_to_linear(v) < math.inf for v in grid):
+            raise ValueError
+        return tuple(grid)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad SNR grid {text!r}; use start:step:stop or v1,v2,...")
@@ -156,7 +161,7 @@ def _cmd_analyze(args) -> int:
     pa = power.optimize_power(args.L, args.power).as_allocation()
     print("snr_db epsilon ser_error_free ser_erroneous ser_total")
     for snr_db in args.snr:
-        g = 10.0 ** (snr_db / 10.0)
+        g = db_to_linear(snr_db)
         eps = analysis.relay_epsilon(pa, args.L, g, args.mod)
         eta = analysis.eta_threshold(
             max(eps, 1e-12), args.mod, pa.rho_r, pa.rho_r)

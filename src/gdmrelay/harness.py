@@ -39,13 +39,13 @@ import json
 import math
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from gdmrelay import analysis, detectors
-from gdmrelay.channel import ChannelRealization, NetworkTopology, complex_normal, substream
+from gdmrelay.channel import (ChannelRealization, NetworkTopology, complex_normal,
+                              db_to_linear, substream)
 from gdmrelay.detectors import buffer, clamp_epsilon, count_ops, relay_reliability
 from gdmrelay.modulation import GdmFrameConfig, PowerAllocation, _encode_samples, make_alphabet
 from gdmrelay.power import optimize_power
@@ -106,6 +106,8 @@ class ExperimentConfig:
             raise ValueError("min_errors and max_frames must be >= 1")
         if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
             raise ValueError("SNR grid must be strictly increasing")
+        for snr_db in self.snr_grid_db:
+            self.topology(snr_db)  # every link's linear SNR must be finite and > 0
         self.frame_config()  # validate K/L/M/powers early
 
     def power_allocation(self) -> PowerAllocation:
@@ -122,9 +124,9 @@ class ExperimentConfig:
                               m=self.m, power=self.power_allocation())
 
     def topology(self, snr_db: float) -> NetworkTopology:
-        g_sd = 10.0 ** (snr_db / 10.0)
-        g_sr = 10.0 ** ((snr_db + self.sr_offset_db) / 10.0)
-        g_rd = 10.0 ** ((snr_db + self.rd_offset_db) / 10.0)
+        g_sd = db_to_linear(snr_db)
+        g_sr = db_to_linear(snr_db + self.sr_offset_db)
+        g_rd = db_to_linear(snr_db + self.rd_offset_db)
         return NetworkTopology(
             n_relays=self.n_relays, snr_sd=g_sd,
             snr_sr=(g_sr,) * self.n_relays, snr_rd=(g_rd,) * self.n_relays,
@@ -312,11 +314,9 @@ def _run_batch(cfg: ExperimentConfig, plan: _PointPlan, point_index: int,
     return int(err.sum()), err.size
 
 
-def _run_point(cfg: ExperimentConfig, point_index: int,
-               pool: ProcessPoolExecutor | None) -> PointResult:
+def _run_point(cfg: ExperimentConfig, point_index: int, mapper) -> PointResult:
     plan = _point_plan(cfg, cfg.snr_grid_db[point_index])
     run = functools.partial(_run_batch, cfg, plan, point_index)
-    mapper = map if pool is None else pool.map
     n_batches = -(-cfg.max_frames // BATCH_FRAMES)
     step = max(cfg.workers, 1)
     # waves of `step` batches, chained lazily: a wave is mapped only once the
@@ -342,8 +342,11 @@ def run_ser_experiment(cfg: ExperimentConfig) -> SimResult:
     pool = None
     try:
         if cfg.workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(max_workers=cfg.workers)
-        points = tuple(_run_point(cfg, i, pool) for i in range(len(cfg.snr_grid_db)))
+        mapper = map if pool is None else pool.map
+        points = tuple(_run_point(cfg, i, mapper) for i in range(len(cfg.snr_grid_db)))
     finally:
         if pool is not None:
             pool.shutdown()

@@ -5,13 +5,20 @@ with the pair layout, scales and thresholds the harness builds at 18 dB, and
 one reused workspace, as the harness calls them.  The batch benchmarks time
 `harness._simulate_batch` at the shapes of the two gated benchmark workloads
 and record the minor page faults per batch (``ru_minflt``) in
-``extra_info``, so allocator churn shows.  The file name keeps it out of the
-default test run; run it with
+``extra_info``, so allocator churn shows.  The cold-start benchmark times
+``import gdmrelay`` in fresh interpreters and records the modules loaded and
+the peak RSS in ``extra_info``, so an import-time regression shows.  The file
+name keeps it out of the default test run; run it with
 
     python3 -m pytest tests/perf_kernels.py --benchmark-only
 """
 
+import json
+import os
 import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,3 +98,19 @@ def test_simulate_batch(benchmark, shape):
     benchmark(run)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     benchmark.extra_info["minor_faults_per_batch"] = faults / calls
+
+
+COLD_START = ("import json, resource, sys; import gdmrelay; print(json.dumps("
+              "[len(sys.modules), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
+
+
+def test_cold_start(benchmark):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = benchmark.pedantic(subprocess.run, args=([sys.executable, "-c", COLD_START],),
+                             kwargs=dict(capture_output=True, text=True, env=env, check=True),
+                             rounds=10, warmup_rounds=1)
+    modules, maxrss_kb = json.loads(out.stdout)
+    benchmark.extra_info["modules"] = modules
+    benchmark.extra_info["peak_rss_mb"] = maxrss_kb / 1024.0

@@ -226,3 +226,35 @@ class TestReproduce:
         for cmd in ("simulate", "analyze", "optimize", "complexity",
                     "diversity", "reproduce"):
             assert cmd in help_text
+
+
+class TestNonFiniteSnr:
+    """inf, nan and dB values whose linear SNR overflows are bad input, not a run."""
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize("snr", ["inf", "10,nan", "1e400", "3100", "-inf,10", "-4000",
+                                     "0:5:inf", "nan:5:10", "0:inf:10"])
+    def test_bad_grid_exits_2(self, command, snr, capsys):
+        budget = ["--frames-max", "300"] if command == "simulate" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--snr={snr}", *budget])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "bad SNR grid" in err and "Traceback" not in err
+
+    def test_config_file_infinity_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"snr": [10, Infinity]}')
+        with pytest.raises(SystemExit) as exc:
+            main(TestSimulate.ARGS + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "bad SNR grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--sr-offset-db", "--rd-offset-db"])
+    def test_overflowing_offset_exits_3(self, flag, capsys):
+        assert main(TestSimulate.ARGS + [flag, "3100"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "finite" in err
+
+    def test_largest_finite_grid_value_accepted(self):
+        assert _parse_snr_grid("3000") == (3000.0,)

@@ -47,6 +47,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(snr_grid_db=(10.0, 10.0))
 
+    @pytest.mark.parametrize("kw", [dict(sr_offset_db=3100.0), dict(rd_offset_db=3100.0),
+                                    dict(rd_offset_db=float("nan")),
+                                    dict(snr_grid_db=(10.0, float("inf")))])
+    def test_rejects_link_snr_that_is_not_finite(self, kw):
+        with pytest.raises(ValueError, match="finite"):
+            small_cfg(**kw)
+
     def test_rejects_incompatible_frame_split(self):
         with pytest.raises(ValueError):
             small_cfg(k_frame=16, l_block=8)
