@@ -83,19 +83,20 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(master_seed), *map(int, key)])
 
 
-def complex_normal(rng: np.random.Generator, var, size=None, add_to=None,
+def complex_normal(rng: np.random.Generator, var, size=None, out=None,
                    scratch=None) -> np.ndarray:
     """Circular complex Gaussian with total variance ``var`` (var/2 per part).
 
-    With ``add_to`` (complex, of shape ``size``) the draw is added in place,
-    bit for bit ``add_to + draw``, each part drawn and scaled in ``scratch``.
+    With ``out`` (complex, of shape ``size``) the draw is written there: each
+    part is drawn into the float ``scratch`` of shape ``size`` (a fresh one
+    when it is None) and scaled into ``out.real`` / ``out.imag``.
     """
     scale = np.sqrt(np.asarray(var) / 2.0)
-    if add_to is None:
+    if out is None:
         return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    for part in (add_to.real, add_to.imag):
-        part += np.multiply(rng.standard_normal(size, out=scratch), scale, out=scratch)
-    return add_to
+    for part in (out.real, out.imag):
+        np.multiply(rng.standard_normal(size, out=scratch), scale, out=part)
+    return out
 
 
 def draw_realization(topo: NetworkTopology, rng: np.random.Generator) -> ChannelRealization:

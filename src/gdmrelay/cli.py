@@ -23,17 +23,25 @@ from gdmrelay.channel import db_to_linear
 from gdmrelay.detectors import count_ops
 from gdmrelay.harness import ExperimentConfig, run_ser_experiment
 
+SNR_GRID_MAX_POINTS = 10_000
+
+
 def _parse_snr_grid(text: str):
-    """'start:step:stop' (inclusive) or a comma list of dB values, each with a
-    finite linear SNR above 0 (so no inf, nan or dB value that overflows)."""
+    """'start:step:stop' (inclusive, at most ``SNR_GRID_MAX_POINTS`` values) or
+    a comma list of dB values, each with a finite linear SNR above 0 (so no
+    inf, nan or dB value that overflows)."""
     try:
         if ":" in text:
             start, step, stop = (float(v) for v in text.split(":"))
             if not (0 < step < math.inf and -math.inf < start <= stop < math.inf):
                 raise ValueError
+            if (stop - start) / step >= SNR_GRID_MAX_POINTS:  # counted before it is built
+                raise ValueError
             grid = []
             v = start
             while v <= stop + 1e-9:
+                if len(grid) == SNR_GRID_MAX_POINTS:  # a step too small to move v
+                    raise ValueError
                 grid.append(round(v, 10))
                 v += step
         else:
@@ -43,7 +51,8 @@ def _parse_snr_grid(text: str):
         return tuple(grid)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"bad SNR grid {text!r}; use start:step:stop or v1,v2,...")
+            f"bad SNR grid {text!r}; use start:step:stop (at most "
+            f"{SNR_GRID_MAX_POINTS} points) or v1,v2,...")
 
 
 def _analyze_block_length(text: str) -> int:

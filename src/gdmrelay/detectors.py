@@ -325,13 +325,24 @@ def buffer(ws: dict, name, shape: tuple, dtype=float) -> np.ndarray:
     return buf
 
 
+def _weigh(z, weight):
+    """z *= weight for a C-ordered complex z and a real ``weight`` broadcasting
+    over its trailing axis, through z's float view: a complex cast of the
+    weight would be buffered on every call."""
+    w = np.asarray(weight)
+    if w.ndim:
+        w = np.repeat(np.broadcast_to(w, w.shape[:-1] + z.shape[-1:]), 2, axis=-1)
+    parts = z.view(np.float64)
+    np.multiply(parts, w, out=parts)
+
+
 def _correlation(y1, y2, weight, points, ws, name) -> np.ndarray:
     """Scores weight * Re(y1 * conj(y2) * conj(x_t)), shape (M, ..., K), in
     buffer ``name``; ``weight`` broadcasts over the trailing symbol axis."""
     r = buffer(ws, "r", np.broadcast_shapes(np.shape(y1), np.shape(y2)), complex)
     np.conjugate(y2, out=r)
     r *= y1
-    r *= weight
+    _weigh(r, weight)
     out = buffer(ws, name, (len(points), *r.shape))
     xy = np.stack([points.real, points.imag], axis=-1)
     np.matmul(xy, r.view(np.float64).reshape(-1, 2).T, out=out.reshape(len(points), -1))
@@ -425,7 +436,7 @@ def pld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
     for r_i, y1, y2, nv in zip(r, [y_sd1, *y_rd1], [y_sd2, *y_rd2], [noise_sd, *noise_rd]):
         np.conjugate(y1, out=r_i)
         r_i *= y2
-        np.multiply(scale / nv, r_i, out=r_i)
+        _weigh(r_i, scale / nv)
     champ.fill(1)
     for q in range(2, len(points) + 1):
         np.take(points, np.subtract(champ, 1, out=row), out=diff, mode="clip")

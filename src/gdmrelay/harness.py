@@ -10,16 +10,22 @@ the two scheme-specific steps branch on it: the encoder (`_encode_batch`) and
 the (y1, y2) pairs the batch detectors compare (`_PointPlan.receive`),
 (y[k1], y[k2]) for differential and (y, h) for coherent.
 
+A batch runs in two phases: it draws every random number it consumes (the
+info symbols, the fading, then each link's noise), then takes its frames in
+blocks of `_block_frames`, each from encoding to decision, so the arrays a
+block streams stay cache-sized.
+
 Each point runs in batches of ``BATCH_FRAMES`` frames (the last one may be
 shorter), in waves of ``workers`` batches: a wave runs in the process pool
 when there is one, and the next wave starts only when the stop rule still
 holds.  Batch counts are accumulated in batch-index order and the point stops
 at the first batch that reaches ``min_errors``, mid-wave if need be.
 
-Workspace rule: the batch-shaped arrays (encoded and received samples, the
-noise, the detector pairs, the kernels' scores) live in one workspace per
-thread, a dict of named buffers that every stage writes into with ``out=``,
-so steady-state batches allocate almost nothing.  It holds one batch shape
+Workspace rule: the batch's arrays live in one workspace per thread, a dict
+of named buffers that every stage writes into with ``out=``, so
+steady-state batches allocate almost nothing.  Only the noise is
+batch-shaped; the rest is block-shaped, each link with its own y, whose
+differential pairs are views where they can be.  It holds one batch shape
 (frames, K, M, N, coherent or not) at a time: a batch of another shape
 replaces it.  `run_ser_experiment` drops it on return; pool workers fill
 their own.  Nothing returned aliases it: a batch's error mask is fresh.
@@ -27,7 +33,8 @@ their own.  Nothing returned aliases it: a batch's error mask is fresh.
 Reproducibility contract: random draws are keyed by
 (master_seed, point_index, batch_index) with a fixed frame-batch size, so
 results are bit-identical across runs and across worker counts.  Frames
-inside a batch are simulated jointly as arrays for speed.
+inside a batch are simulated jointly as arrays for speed; the compute
+blocks change no draw and no decision.
 """
 
 from __future__ import annotations
@@ -47,7 +54,8 @@ from gdmrelay import analysis, detectors
 from gdmrelay.channel import (ChannelRealization, NetworkTopology, complex_normal,
                               db_to_linear, substream)
 from gdmrelay.detectors import buffer, clamp_epsilon, count_ops, relay_reliability
-from gdmrelay.modulation import GdmFrameConfig, PowerAllocation, _encode_samples, make_alphabet
+from gdmrelay.modulation import (GdmFrameConfig, PowerAllocation, _encode_samples,
+                                 _sample_gains, make_alphabet)
 from gdmrelay.power import optimize_power
 
 __all__ = [
@@ -66,6 +74,7 @@ __all__ = [
 DETECTOR_KINDS = ("nmld", "amld", "pld", "coherent", "relay-only")
 RELAY_MODES = ("realistic", "genie-all", "genie-r")
 BATCH_FRAMES = 256  # fixed rng keying unit; do not change between runs
+BLOCK_SYMBOLS = 1 << 14  # samples per frame block of a batch's compute phase (`_block_frames`)
 _SLOT = threading.local()  # this thread's batch workspace: .key and .ws
 
 
@@ -189,31 +198,30 @@ class _PointPlan:
     """Invariants of one SNR point, built once and shipped to every batch.
 
     ``frame`` is None for the coherent reference, whose ``points`` carry the
-    amplitude sqrt(p_s); ``etas`` holds the branch-floor thresholds per relay.
+    amplitude sqrt(p_s); ``gains`` are the encoder's `_sample_gains` and
+    ``etas`` the branch-floor thresholds per relay.
     """
 
     topo: NetworkTopology
     frame: GdmFrameConfig | None
     points: np.ndarray
-    k1: np.ndarray | None
+    gains: np.ndarray | None
     k2: np.ndarray | None
     scale: np.ndarray | float
     epsilons: tuple
     etas: np.ndarray
 
-    def receive(self, rng, h: np.ndarray, u: np.ndarray, ws: dict, link) -> tuple:
-        """Detector pairs of h*u + unit noise on ``link``: C-ordered (y[k1], y[k2]),
-        or (y, h) when coherent.  Differential links share one y buffer, as
-        their pairs are taken at once; a coherent y is a pair, one per link."""
-        coherent = self.frame is None
-        y = buffer(ws, ("y", link) if coherent else "y", u.shape, complex)
-        np.multiply(h[:, None], u, out=y)
-        complex_normal(rng, 1.0, u.shape, add_to=y, scratch=buffer(ws, "noise", u.shape))
-        if coherent:
+    def receive(self, h: np.ndarray, u: np.ndarray, noise: np.ndarray, ws: dict, link) -> tuple:
+        """Detector pairs of h*u + ``noise`` in ``link``'s own y buffer: (y, h)
+        when coherent, else (y[k1], y[k2]), views of y but for the k2 of L > 1."""
+        y = np.multiply(h[:, None], u, out=buffer(ws, ("y", link), u.shape, complex))
+        y += noise
+        if self.frame is None:
             return y, h[:, None]
-        shape = (len(u), len(self.k1))  # y[:, k] would be F-ordered; "clip" avoids a staging copy
-        return tuple(np.take(y, k, axis=1, out=buffer(ws, (name, link), shape, complex),
-                             mode="clip") for name, k in (("y1", self.k1), ("y2", self.k2)))
+        if self.frame.l_block == 1:  # k1 = 1..K, k2 = k1 - 1
+            return y[:, 1:], y[:, :-1]
+        y2 = buffer(ws, ("y2", link), (len(u), len(self.k2)), complex)
+        return y[:, 1:], np.take(y, self.k2, axis=1, out=y2, mode="clip")  # clip: no staging copy
 
 
 def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPlan:
@@ -228,7 +236,15 @@ def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPl
     k1, k2 = fc.pair_positions()
     scale = np.where(fc.ref_mask()[k1], 1.0, fc.power.ns_scale)
     etas = log_terms[:, None] * (1.0 + scale**2)[None, :]  # eta scales with the pair type
-    return _PointPlan(cfg.topology(snr_db), fc, points, k1, k2, scale, epsilons, etas)
+    return _PointPlan(cfg.topology(snr_db), fc, points, _sample_gains(fc), k2, scale,
+                      epsilons, etas)
+
+
+def _block_frames(k_frame: int) -> int:
+    """Frames per compute block: the largest power of two that divides
+    ``BATCH_FRAMES`` and keeps a block within ``BLOCK_SYMBOLS`` samples, or 1."""
+    fit = max(BLOCK_SYMBOLS // (k_frame + 1), 1)
+    return min(BATCH_FRAMES & -BATCH_FRAMES, 1 << fit.bit_length() - 1)
 
 
 def _encode_batch(plan: _PointPlan, info: np.ndarray, ws: dict, name) -> np.ndarray:
@@ -238,7 +254,7 @@ def _encode_batch(plan: _PointPlan, info: np.ndarray, ws: dict, name) -> np.ndar
     phase = buffer(ws, "phase", u.shape, np.int64)
     if plan.frame is None:
         return np.take(plan.points, np.subtract(info, 1, out=phase), out=u, mode="clip")
-    return _encode_samples(info, plan.frame, u, phase)
+    return _encode_samples(info, plan.frame, plan.points, plan.gains, u, phase)
 
 
 def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
@@ -246,7 +262,6 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
                     realization: ChannelRealization | None = None) -> np.ndarray:
     """Simulate ``n_frames`` frames at one SNR point; returns the (F, K)
     boolean symbol-error mask (True = symbol error)."""
-    topo = plan.topo
     n = cfg.n_relays
     key = (n_frames, cfg.k_frame, cfg.m, n, plan.frame is None)
     if getattr(_SLOT, "key", None) != key:  # a new batch shape replaces the workspace
@@ -254,39 +269,46 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
     ws = _SLOT.ws
 
     info = rng.integers(1, cfg.m + 1, size=(n_frames, cfg.k_frame))
-    u_s = _encode_batch(plan, info, ws, "u_s")
-
-    if realization is None:
-        h_sd = complex_normal(rng, topo.snr_sd, size=n_frames)
-        h_sr = [complex_normal(rng, topo.snr_sr[i], size=n_frames) for i in range(n)]
-        h_rd = [complex_normal(rng, topo.snr_rd[i], size=n_frames) for i in range(n)]
+    if realization is None:  # S-D, then S-R_i, then R-D_i
+        t = plan.topo
+        h = [complex_normal(rng, v, size=n_frames) for v in (t.snr_sd, *t.snr_sr, *t.snr_rd)]
     else:
-        h_sd = np.full(n_frames, realization.h_sd)
-        h_sr = [np.full(n_frames, realization.h_sr[i]) for i in range(n)]
-        h_rd = [np.full(n_frames, realization.h_rd[i]) for i in range(n)]
-
-    sd_pair = plan.receive(rng, h_sd, u_s, ws, "sd")
+        r = realization
+        h = [np.full(n_frames, v) for v in (r.h_sd, *r.h_sr, *r.h_rd)]
+    h_sd, h_sr, h_rd = h[0], h[1:n + 1], h[n + 1:]
+    relay_only = cfg.detector == "relay-only"
+    shape = (n_frames, cfg.k_frame + (plan.frame is not None))  # the shape of u
+    scratch = buffer(ws, "scratch", shape)
+    # noise[0] is S-D, noise[2i + 1] S-R_i and noise[2i + 2] R-D_i; relay-only ends with S-R_1
+    noise = [complex_normal(rng, 1.0, shape, out=buffer(ws, ("noise", j), shape, complex),
+                            scratch=scratch) for j in range(2 if relay_only else 2 * n + 1)]
 
     forced = {"genie-all": n, "genie-r": cfg.genie_r}.get(cfg.relay_mode, 0)
-    rd_pairs = []
-    for i in range(n):
-        # relay i's S-R pair is dead before its R-D pair is taken: they share buffers
-        sr_pair = plan.receive(rng, h_sr[i], u_s, ws, i)
-        det = detectors.relay_detect_batch(*sr_pair, plan.scale, plan.points, ws)
-        if cfg.detector == "relay-only":
-            return det != info
-        u_r = _encode_batch(plan, info if i < forced else det, ws, "u_r")
-        rd_pairs.append(plan.receive(rng, h_rd[i], u_r, ws, i))
-
-    args = (*sd_pair, [p[0] for p in rd_pairs], [p[1] for p in rd_pairs],
-            1.0, (1.0,) * n, plan.scale)
-    if cfg.detector == "amld":
-        det = detectors.amld_detect_batch(*args, plan.epsilons, plan.points, ws)
-    elif cfg.detector == "pld":
-        det = detectors.pld_detect_batch(*args, plan.etas, plan.points, ws)
-    else:  # nmld, and coherent: the same branch-floor rule on (y, h) pairs
-        det = detectors.nmld_detect_batch(*args, plan.etas, plan.points, ws)
-    return det != info
+    err = np.empty(info.shape, bool)
+    step = _block_frames(cfg.k_frame)
+    for b in (slice(lo, lo + step) for lo in range(0, n_frames, step)):
+        u_s = _encode_batch(plan, info[b], ws, "u_s")
+        rd_pairs = []
+        for i in range(n):
+            # relay i's S-R pair is dead before the next relay's is taken: they share y
+            sr_pair = plan.receive(h_sr[i][b], u_s, noise[2 * i + 1][b], ws, "sr")
+            det = detectors.relay_detect_batch(*sr_pair, plan.scale, plan.points, ws)
+            if relay_only:
+                break
+            u_r = _encode_batch(plan, info[b] if i < forced else det, ws, "u_r")
+            rd_pairs.append(plan.receive(h_rd[i][b], u_r, noise[2 * i + 2][b], ws, i))
+        else:  # every relay forwarded: the destination decides
+            args = (*plan.receive(h_sd[b], u_s, noise[0][b], ws, "sd"),
+                    [p[0] for p in rd_pairs], [p[1] for p in rd_pairs],
+                    1.0, (1.0,) * n, plan.scale)
+            if cfg.detector == "amld":
+                det = detectors.amld_detect_batch(*args, plan.epsilons, plan.points, ws)
+            elif cfg.detector == "pld":
+                det = detectors.pld_detect_batch(*args, plan.etas, plan.points, ws)
+            else:  # nmld, and coherent: the same branch-floor rule on (y, h) pairs
+                det = detectors.nmld_detect_batch(*args, plan.etas, plan.points, ws)
+        np.not_equal(det, info[b], out=err[b])
+    return err
 
 
 def _simulate_batch_noncoherent(cfg, snr_db, epsilons, rng, n_frames, realization=None):

@@ -156,7 +156,7 @@ def _phase_indices(info: np.ndarray, cfg: GdmFrameConfig, out=None) -> np.ndarra
     blocks = phase.reshape(info.shape[:-1] + (cfg.n_blocks, cfg.l_block))  # K+1 = blocks * L
     np.cumsum(blocks[..., 0], axis=-1, out=blocks[..., 0])  # the heads
     blocks[..., 1:] += blocks[..., :1]  # each normal symbol on its own block head
-    phase %= cfg.m
+    phase -= cfg.m * (phase // cfg.m)  # phase %= m, but an int64 % costs ~2x the floor division
     return phase
 
 
@@ -173,15 +173,24 @@ def gdm_encode(info, cfg: GdmFrameConfig) -> EncodedFrame:
         raise ValueError(f"expected {cfg.k_frame} info symbols, got shape {info.shape}")
     if info.min(initial=cfg.m) < 1 or info.max(initial=1) > cfg.m:
         raise ValueError("info indices must lie in [1, M]")
-    return EncodedFrame(u=_encode_samples(info, cfg), info=info.copy(), ref_mask=cfg.ref_mask())
+    u = _encode_samples(info, cfg, make_alphabet(cfg.m).points, _sample_gains(cfg))
+    return EncodedFrame(u=u, info=info.copy(), ref_mask=cfg.ref_mask())
 
 
-def _encode_samples(info: np.ndarray, cfg: GdmFrameConfig, u=None, phase=None) -> np.ndarray:
-    """The samples of `gdm_encode` from unchecked (..., K) int64 indices,
-    written into ``u`` (and the phase indices into ``phase``) when given."""
+def _sample_gains(cfg: GdmFrameConfig) -> np.ndarray:
+    """Per-sample amplitudes, sqrt(rho_r) at block heads, repeated per (re, im) part."""
+    return np.repeat(np.sqrt(np.where(cfg.ref_mask(), cfg.power.rho_r, cfg.power.rho_n)), 2)
+
+
+def _encode_samples(info: np.ndarray, cfg: GdmFrameConfig, points: np.ndarray,
+                    gains: np.ndarray, u=None, phase=None) -> np.ndarray:
+    """The samples of `gdm_encode` from unchecked (..., K) int64 indices, the
+    alphabet ``points`` and the `_sample_gains` of ``cfg``, written into a
+    C-ordered ``u`` (and the phase indices into ``phase``) when given."""
     # mode="clip" writes straight into u; "raise" would stage it in a fresh copy
-    u = np.take(make_alphabet(cfg.m).points, _phase_indices(info, cfg, phase), out=u, mode="clip")
-    u *= np.where(cfg.ref_mask(), np.sqrt(cfg.power.rho_r), np.sqrt(cfg.power.rho_n))
+    u = np.take(points, _phase_indices(info, cfg, phase), out=u, mode="clip")
+    parts = u.view(np.float64)  # u *= amplitudes part by part: no complex cast is buffered
+    np.multiply(parts, gains, out=parts)
     return u
 
 

@@ -4,11 +4,12 @@ The kernel benchmarks time one 256-frame batch of N=3 relays, M=4, K=127,
 with the pair layout, scales and thresholds the harness builds at 18 dB, and
 one reused workspace, as the harness calls them.  The batch benchmarks time
 `harness._simulate_batch` at the shapes of the two gated benchmark workloads
-and record the minor page faults per batch (``ru_minflt``) in
-``extra_info``, so allocator churn shows.  The cold-start benchmark times
-``import gdmrelay`` in fresh interpreters and records the modules loaded and
-the peak RSS in ``extra_info``, so an import-time regression shows.  The file
-name keeps it out of the default test run; run it with
+and record in ``extra_info`` the minor page faults per batch (``ru_minflt``)
+and the bytes the batch workspace holds, so allocator churn and footprint
+show.  The cold-start benchmark times ``import gdmrelay`` in fresh
+interpreters and records the modules loaded and the peak RSS in
+``extra_info``, so an import-time regression shows.  The file name keeps it
+out of the default test run; run it with
 
     python3 -m pytest tests/perf_kernels.py --benchmark-only
 """
@@ -38,11 +39,11 @@ def batch():
     rng = substream(5, 0)
     gain = 10.0 ** (SNR_DB / 20.0)
     pairs = []
+    ws = {}  # each link's pair is a view of its own y buffer
     for i in range(N + 1):
-        ws = {}  # a workspace per link, so the pairs stay apart
         u = harness._encode_batch(plan, rng.integers(1, M + 1, size=(FRAMES, K)), ws, "u")
-        pairs.append(plan.receive(rng, gain * harness.complex_normal(rng, 1.0, FRAMES),
-                                  u, ws, i))
+        h = gain * harness.complex_normal(rng, 1.0, FRAMES)
+        pairs.append(plan.receive(h, u, harness.complex_normal(rng, 1.0, u.shape), ws, i))
     args = (*pairs[0], [p[0] for p in pairs[1:]], [p[1] for p in pairs[1:]],
             1.0, (1.0,) * N, plan.scale)
     return plan, pairs, args
@@ -98,6 +99,7 @@ def test_simulate_batch(benchmark, shape):
     benchmark(run)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     benchmark.extra_info["minor_faults_per_batch"] = faults / calls
+    benchmark.extra_info["workspace_bytes"] = sum(b.nbytes for b in harness._SLOT.ws.values())
 
 
 COLD_START = ("import json, resource, sys; import gdmrelay; print(json.dumps("

@@ -258,3 +258,29 @@ class TestNonFiniteSnr:
 
     def test_largest_finite_grid_value_accepted(self):
         assert _parse_snr_grid("3000") == (3000.0,)
+
+
+class TestGridBound:
+    """A range-form grid is counted before it is built and capped in length."""
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize("snr", ["0:1e-6:30", "0:1:10000", "-1e308:1e-300:1e308",
+                                     "3000:1e-13:3000"])
+    def test_oversized_grid_exits_2_at_once(self, command, snr, capsys):
+        import time
+
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--snr={snr}", "--relays", "1"])
+        assert time.perf_counter() - t0 < 1.0
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "bad SNR grid" in err and "10000 points" in err and "Traceback" not in err
+
+    def test_largest_grid_keeps_its_values(self):
+        from gdmrelay.cli import SNR_GRID_MAX_POINTS
+
+        grid = _parse_snr_grid("0:0.001:9.999")
+        assert len(grid) == SNR_GRID_MAX_POINTS
+        assert grid[:3] == (0.0, 0.001, 0.002) and grid[-1] == 9.999
+        assert all(b > a for a, b in zip(grid, grid[1:]))

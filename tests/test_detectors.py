@@ -544,3 +544,28 @@ class TestClampEpsilon:
         assert clamp_epsilon(0.0) == 1e-12
         assert clamp_epsilon(0.9) == pytest.approx(0.5 - 1e-12)
         assert clamp_epsilon(0.01) == 0.01
+
+
+class TestWeigh:
+    """`_weigh` gives the bits of the complex product z * w without buffering
+    a complex cast of the real weight (8,192 complex values, 128 KiB)."""
+
+    @pytest.mark.parametrize("weight", ["row", "scalar", "0-d"])
+    def test_bits_and_no_cast_buffer(self, weight):
+        import tracemalloc
+
+        from gdmrelay.detectors import _weigh
+
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((256, 127)) + 1j * rng.standard_normal((256, 127))
+        w = {"row": rng.uniform(0.5, 2.0, 127), "scalar": 0.7, "0-d": np.asarray(1.3)}[weight]
+        got = z.copy()
+        _weigh(got, w)
+        np.testing.assert_array_equal(got.view(np.uint64), (z * w).view(np.uint64))
+        tracemalloc.start()
+        try:
+            _weigh(got, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8192 * 16

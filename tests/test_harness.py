@@ -2,6 +2,7 @@ import dataclasses
 import json
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,21 @@ def _batch(cfg, n_frames, key):
     return harness._simulate_batch(cfg, plan, substream(cfg.master_seed, 0, key), n_frames)
 
 
+def _drawn_like_one_batch(cfg, n_frames, key):
+    """The substream of `_batch` advanced by one batch's draws, made one by
+    one: the info symbols, the fading, then two normal parts per link's noise,
+    S-D and S-R_i, R-D_i per relay (relay-only ends with S-R_1)."""
+    rng = substream(cfg.master_seed, 0, key)
+    rng.integers(1, cfg.m + 1, size=(n_frames, cfg.k_frame))
+    for _ in range(2 * (2 * cfg.n_relays + 1)):
+        rng.standard_normal(n_frames)
+    links = 2 if cfg.detector == "relay-only" else 2 * cfg.n_relays + 1
+    width = cfg.k_frame + (cfg.detector != "coherent")
+    for _ in range(2 * links):
+        rng.standard_normal((n_frames, width))
+    return rng
+
+
 def _in_fresh_thread(fn, *args):
     """``fn(*args)`` run in a new thread, whose workspace starts empty."""
     out = []
@@ -383,6 +399,36 @@ class TestWorkspace:
         for got, want in zip(results, serial):
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("block", [1, 2, 8, 256])
+    def test_blocking_changes_no_result(self, block, monkeypatch):
+        # the default block holds a whole batch at K = 15; the draw amount is pinned too
+        want = [_batch(cfg, f, i) for i, (cfg, f) in enumerate(self.SEQUENCE)]
+        monkeypatch.setattr(harness, "BLOCK_SYMBOLS", block * (15 + 1))
+        for i, (cfg, f) in enumerate(self.SEQUENCE):
+            assert cfg.k_frame == 15 and harness._block_frames(cfg.k_frame) == block
+            plan = harness._point_plan(cfg, cfg.snr_grid_db[0])
+            rng = substream(cfg.master_seed, 0, i)
+            np.testing.assert_array_equal(harness._simulate_batch(cfg, plan, rng, f), want[i])
+            assert rng.bit_generator.state == _drawn_like_one_batch(cfg, f, i).bit_generator.state
+
+    def test_block_frames(self):
+        assert [harness._block_frames(k) for k in (15, 63, 127, 255, 511, 16383, 40000)] == [
+            256, 256, 128, 64, 32, 1, 1]
+
+    def test_footprint(self):
+        # one batch of the gdm-long benchmark's nmld sweep, from an empty workspace
+        cfg = small_cfg(k_frame=511, l_block=256, snr_grid_db=(28.0,))
+
+        def peak():
+            tracemalloc.start()
+            try:
+                _batch(cfg, BATCH_FRAMES, 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert _in_fresh_thread(peak) < 16 * 2**20
 
     def test_experiment_drops_the_workspace(self):
         _batch(*self.SEQUENCE[2], 0)
