@@ -303,7 +303,9 @@ def coherent_baseline_detect(y_sd, y_rd, h_sd, h_rd, noise_sd, noise_rd,
 #
 # Every kernel takes an optional workspace ``ws`` (see `buffer`) and writes
 # all its arrays into it, the returned indices included, so the next call
-# overwrites them; without one it uses a fresh dict.
+# overwrites them; without one every array is fresh.  The harness passes its
+# per-thread workspace: made fresh on every call, these arrays raise the minor
+# page faults of a `dm-relays` benchmark pass fivefold (6.6k to 34k).
 #
 # Correlation form.  The points have one modulus (PSK, or the coherent
 # plan's sqrt(p_s) * points), so with r = y1 * conj(y2)
@@ -316,24 +318,16 @@ def coherent_baseline_detect(y_sd, y_rd, h_sd, h_rd, noise_sd, noise_rd,
 # every reduction over t runs elementwise across M slabs.
 
 
-def buffer(ws: dict, name, shape: tuple, dtype=float) -> np.ndarray:
+def buffer(ws: dict | None, name, shape: tuple, dtype=float) -> np.ndarray:
     """Buffer ``name`` of the workspace ``ws``, made anew when missing or when
-    its shape or dtype differs; its contents are whatever was last written."""
+    its shape or dtype differs; its contents are whatever was last written.
+    Without a workspace it is a fresh array."""
+    if ws is None:
+        return np.empty(shape, dtype)
     buf = ws.get(name)
     if buf is None or buf.shape != shape or buf.dtype != dtype:
         buf = ws[name] = np.empty(shape, dtype)
     return buf
-
-
-def _weigh(z, weight):
-    """z *= weight for a C-ordered complex z and a real ``weight`` broadcasting
-    over its trailing axis, through z's float view: a complex cast of the
-    weight would be buffered on every call."""
-    w = np.asarray(weight)
-    if w.ndim:
-        w = np.repeat(np.broadcast_to(w, w.shape[:-1] + z.shape[-1:]), 2, axis=-1)
-    parts = z.view(np.float64)
-    np.multiply(parts, w, out=parts)
 
 
 def _correlation(y1, y2, weight, points, ws, name) -> np.ndarray:
@@ -342,7 +336,7 @@ def _correlation(y1, y2, weight, points, ws, name) -> np.ndarray:
     r = buffer(ws, "r", np.broadcast_shapes(np.shape(y1), np.shape(y2)), complex)
     np.conjugate(y2, out=r)
     r *= y1
-    _weigh(r, weight)
+    r *= weight
     out = buffer(ws, name, (len(points), *r.shape))
     xy = np.stack([points.real, points.imag], axis=-1)
     np.matmul(xy, r.view(np.float64).reshape(-1, 2).T, out=out.reshape(len(points), -1))
@@ -369,7 +363,6 @@ def relay_detect_batch(y1, y2, scale, points, ws=None) -> np.ndarray:
 
     Ties go to the lowest index.
     """
-    ws = {} if ws is None else ws
     return _first_argmax(_correlation(y1, y2, scale, points, ws, "branch"), ws)
 
 
@@ -380,7 +373,6 @@ def nmld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
     Maximizes q_sd,t + sum_n max(q_n,t, max_u q_n,u - eta_n), the negated
     min(f, min f + eta) rule of `nmld_detect`.  Ties go to the lowest index.
     """
-    ws = {} if ws is None else ws
     w = 2 * np.asarray(scale)
     totals = _correlation(y_sd1, y_sd2, w / noise_sd, points, ws, "totals")
     for i in range(len(y_rd1)):
@@ -400,7 +392,6 @@ def amld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
     shifted kernels e_t = exp(q_t - max_u q_u) enters in the log domain.
     Ties go to the lowest index.
     """
-    ws = {} if ws is None else ws
     m = len(points)
     s = np.asarray(scale)
     w = 2 * s / (1 + s**2)
@@ -427,7 +418,6 @@ def pld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
 
     The champion stays on Lambda = 0, so ties go to the lowest index.
     """
-    ws = {} if ws is None else ws
     shape = np.shape(y_sd1)
     r = buffer(ws, "r_links", (len(y_rd1) + 1, *shape), complex)
     champ, row = (buffer(ws, name, shape, np.int64) for name in ("index", "row"))
@@ -436,7 +426,7 @@ def pld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
     for r_i, y1, y2, nv in zip(r, [y_sd1, *y_rd1], [y_sd2, *y_rd2], [noise_sd, *noise_rd]):
         np.conjugate(y1, out=r_i)
         r_i *= y2
-        _weigh(r_i, scale / nv)
+        r_i *= scale / nv
     champ.fill(1)
     for q in range(2, len(points) + 1):
         np.take(points, np.subtract(champ, 1, out=row), out=diff, mode="clip")

@@ -21,14 +21,14 @@ when there is one, and the next wave starts only when the stop rule still
 holds.  Batch counts are accumulated in batch-index order and the point stops
 at the first batch that reaches ``min_errors``, mid-wave if need be.
 
-Workspace rule: the batch's arrays live in one workspace per thread, a dict
-of named buffers that every stage writes into with ``out=``, so
-steady-state batches allocate almost nothing.  Only the noise is
-batch-shaped; the rest is block-shaped, each link with its own y, whose
-differential pairs are views where they can be.  It holds one batch shape
-(frames, K, M, N, coherent or not) at a time: a batch of another shape
-replaces it.  `run_ser_experiment` drops it on return; pool workers fill
-their own.  Nothing returned aliases it: a batch's error mask is fresh.
+Workspace rule: one workspace per thread, a dict of named buffers, holds only
+the batch-shaped noise, which outlives the blocks, and the detector kernels'
+arrays, which cost page faults when made fresh (five times the minor faults
+per `dm-relays` benchmark pass).  Encoded samples and each link's y are plain
+arrays.  It holds one batch shape (frames, K, M, N, coherent or not) at a
+time: a batch of another shape replaces it.  `run_ser_experiment` drops it on
+return; pool workers fill their own.  Nothing returned aliases it: a batch's
+error mask is fresh.
 
 Reproducibility contract: random draws are keyed by
 (master_seed, point_index, batch_index) with a fixed frame-batch size, so
@@ -44,6 +44,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import threading
 import time
 from dataclasses import dataclass, asdict
@@ -211,17 +212,16 @@ class _PointPlan:
     epsilons: tuple
     etas: np.ndarray
 
-    def receive(self, h: np.ndarray, u: np.ndarray, noise: np.ndarray, ws: dict, link) -> tuple:
-        """Detector pairs of h*u + ``noise`` in ``link``'s own y buffer: (y, h)
-        when coherent, else (y[k1], y[k2]), views of y but for the k2 of L > 1."""
-        y = np.multiply(h[:, None], u, out=buffer(ws, ("y", link), u.shape, complex))
+    def receive(self, h: np.ndarray, u: np.ndarray, noise: np.ndarray) -> tuple:
+        """Detector pairs of y = h*u + ``noise``: (y, h) when coherent, else
+        (y[k1], y[k2]), views of y but for the k2 of L > 1."""
+        y = h[:, None] * u
         y += noise
         if self.frame is None:
             return y, h[:, None]
         if self.frame.l_block == 1:  # k1 = 1..K, k2 = k1 - 1
             return y[:, 1:], y[:, :-1]
-        y2 = buffer(ws, ("y2", link), (len(u), len(self.k2)), complex)
-        return y[:, 1:], np.take(y, self.k2, axis=1, out=y2, mode="clip")  # clip: no staging copy
+        return y[:, 1:], y[:, self.k2]
 
 
 def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPlan:
@@ -247,14 +247,11 @@ def _block_frames(k_frame: int) -> int:
     return min(BATCH_FRAMES & -BATCH_FRAMES, 1 << fit.bit_length() - 1)
 
 
-def _encode_batch(plan: _PointPlan, info: np.ndarray, ws: dict, name) -> np.ndarray:
-    """Transmitted samples of (F, K) info indices, in workspace buffer ``name``."""
-    f, k = info.shape
-    u = buffer(ws, name, (f, k if plan.frame is None else k + 1), complex)
-    phase = buffer(ws, "phase", u.shape, np.int64)
+def _encode_batch(plan: _PointPlan, info: np.ndarray) -> np.ndarray:
+    """Transmitted samples of (F, K) info indices."""
     if plan.frame is None:
-        return np.take(plan.points, np.subtract(info, 1, out=phase), out=u, mode="clip")
-    return _encode_samples(info, plan.frame, plan.points, plan.gains, u, phase)
+        return plan.points[info - 1]
+    return _encode_samples(info, plan.frame, plan.points, plan.gains)
 
 
 def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
@@ -287,18 +284,17 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
     err = np.empty(info.shape, bool)
     step = _block_frames(cfg.k_frame)
     for b in (slice(lo, lo + step) for lo in range(0, n_frames, step)):
-        u_s = _encode_batch(plan, info[b], ws, "u_s")
+        u_s = _encode_batch(plan, info[b])
         rd_pairs = []
         for i in range(n):
-            # relay i's S-R pair is dead before the next relay's is taken: they share y
-            sr_pair = plan.receive(h_sr[i][b], u_s, noise[2 * i + 1][b], ws, "sr")
+            sr_pair = plan.receive(h_sr[i][b], u_s, noise[2 * i + 1][b])
             det = detectors.relay_detect_batch(*sr_pair, plan.scale, plan.points, ws)
             if relay_only:
                 break
-            u_r = _encode_batch(plan, info[b] if i < forced else det, ws, "u_r")
-            rd_pairs.append(plan.receive(h_rd[i][b], u_r, noise[2 * i + 2][b], ws, i))
+            u_r = _encode_batch(plan, info[b] if i < forced else det)
+            rd_pairs.append(plan.receive(h_rd[i][b], u_r, noise[2 * i + 2][b]))
         else:  # every relay forwarded: the destination decides
-            args = (*plan.receive(h_sd[b], u_s, noise[0][b], ws, "sd"),
+            args = (*plan.receive(h_sd[b], u_s, noise[0][b]),
                     [p[0] for p in rd_pairs], [p[1] for p in rd_pairs],
                     1.0, (1.0,) * n, plan.scale)
             if cfg.detector == "amld":
@@ -366,7 +362,8 @@ def run_ser_experiment(cfg: ExperimentConfig) -> SimResult:
         if cfg.workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=cfg.workers)
+            # the pool forks all its workers at once; results do not depend on their count
+            pool = ProcessPoolExecutor(max_workers=min(cfg.workers, os.cpu_count() or 1))
         mapper = map if pool is None else pool.map
         points = tuple(_run_point(cfg, i, mapper) for i in range(len(cfg.snr_grid_db)))
     finally:

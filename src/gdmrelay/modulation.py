@@ -75,8 +75,8 @@ class PowerAllocation:
 
     def __post_init__(self):
         for name in ("rho_r", "rho_n", "p_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     @property
     def ns_scale(self) -> float:
@@ -142,15 +142,15 @@ class EncodedFrame:
     ref_mask: np.ndarray
 
 
-def _phase_indices(info: np.ndarray, cfg: GdmFrameConfig, out=None) -> np.ndarray:
+def _phase_indices(info: np.ndarray, cfg: GdmFrameConfig) -> np.ndarray:
     """Cumulative 0-based phase index of every transmitted sample.
 
-    Works along the last axis of ``info`` (..., K) and returns (..., K+1),
-    in ``out`` when it is given.  Position 0 carries phase 0; position k1
-    carries the phase of its pair partner k2 plus its own offset.  Every k2
-    is a block head, whose phase is the running sum of the head offsets.
+    Works along the last axis of ``info`` (..., K) and returns (..., K+1).
+    Position 0 carries phase 0; position k1 carries the phase of its pair
+    partner k2 plus its own offset.  Every k2 is a block head, whose phase is
+    the running sum of the head offsets.
     """
-    phase = np.empty(info.shape[:-1] + (cfg.k_frame + 1,), np.int64) if out is None else out
+    phase = np.empty(info.shape[:-1] + (cfg.k_frame + 1,), np.int64)
     phase[..., 0] = 0
     np.subtract(info, 1, out=phase[..., 1:])  # offsets, turned into phases in place
     blocks = phase.reshape(info.shape[:-1] + (cfg.n_blocks, cfg.l_block))  # K+1 = blocks * L
@@ -178,19 +178,16 @@ def gdm_encode(info, cfg: GdmFrameConfig) -> EncodedFrame:
 
 
 def _sample_gains(cfg: GdmFrameConfig) -> np.ndarray:
-    """Per-sample amplitudes, sqrt(rho_r) at block heads, repeated per (re, im) part."""
-    return np.repeat(np.sqrt(np.where(cfg.ref_mask(), cfg.power.rho_r, cfg.power.rho_n)), 2)
+    """Per-sample amplitudes: sqrt(rho_r) at block heads, sqrt(rho_n) elsewhere."""
+    return np.sqrt(np.where(cfg.ref_mask(), cfg.power.rho_r, cfg.power.rho_n))
 
 
 def _encode_samples(info: np.ndarray, cfg: GdmFrameConfig, points: np.ndarray,
-                    gains: np.ndarray, u=None, phase=None) -> np.ndarray:
+                    gains: np.ndarray) -> np.ndarray:
     """The samples of `gdm_encode` from unchecked (..., K) int64 indices, the
-    alphabet ``points`` and the `_sample_gains` of ``cfg``, written into a
-    C-ordered ``u`` (and the phase indices into ``phase``) when given."""
-    # mode="clip" writes straight into u; "raise" would stage it in a fresh copy
-    u = np.take(points, _phase_indices(info, cfg, phase), out=u, mode="clip")
-    parts = u.view(np.float64)  # u *= amplitudes part by part: no complex cast is buffered
-    np.multiply(parts, gains, out=parts)
+    alphabet ``points`` and the `_sample_gains` of ``cfg``."""
+    u = points[_phase_indices(info, cfg)]
+    u *= gains
     return u
 
 

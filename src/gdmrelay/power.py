@@ -44,8 +44,8 @@ def optimize_power(l_block: int, p_s: float = 1.0) -> PowerSolution:
     """
     if l_block < 1:
         raise ValueError(f"l_block must be >= 1, got {l_block}")
-    if not p_s > 0:
-        raise ValueError("p_s must be > 0")
+    if not 0 < p_s < math.inf:
+        raise ValueError("p_s must be finite and > 0")
     if l_block == 1:
         return PowerSolution(rho_r_star=p_s, rho_n_star=p_s, ratio=1.0,
                              l_block=1, p_s=p_s, degenerate=True)
@@ -68,8 +68,8 @@ def feasibility_diagnostic(solution: PowerSolution, m: int, l_block: int,
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    if not (gamma_sr_bar > 0 and gamma_sd > 0):
-        raise ValueError("SNRs must be > 0")
+    if not (0 < gamma_sr_bar < math.inf and 0 < gamma_sd < math.inf):
+        raise ValueError("SNRs must be finite and > 0")
     eps = relay_epsilon(solution.as_allocation(), l_block, gamma_sr_bar, m)
     z2 = math.sin(math.pi / m) ** 2 * (
         2.0 * l_block * solution.p_s / (l_block + 2.0 * math.sqrt(l_block - 1.0))

@@ -260,6 +260,32 @@ class TestNonFiniteSnr:
         assert _parse_snr_grid("3000") == (3000.0,)
 
 
+class TestNonFinitePower:
+    """An infinite power or S-R/S-D SNR is bad input: one error line and exit 3."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--snr", "10", "--frames-max", "10", "--power", "inf"],
+        ["simulate", "--snr", "10", "--frames-max", "10", "--power", "-1"],
+        ["simulate", "--snr", "10", "--frames-max", "10", "--K", "15", "--L", "4",
+         "--rho-n", "0.5", "--power", "inf"],
+        ["analyze", "--snr", "10", "--power", "inf"],
+        ["optimize", "--L", "4", "--power", "inf"],
+        ["optimize", "--L", "4", "--gamma-sr", "inf", "--gamma-sd", "10"],
+        ["optimize", "--L", "4", "--gamma-sr", "10", "--gamma-sd", "inf"],
+    ])
+    def test_exits_3(self, argv, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "finite" in err
+
+    def test_config_file_infinity_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"power": Infinity}')
+        assert main(TestSimulate.ARGS + ["--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "finite" in err
+
+
 class TestGridBound:
     """A range-form grid is counted before it is built and capped in length."""
 

@@ -141,6 +141,32 @@ class TestRunExperiment:
         assert [p.symbols for p in a.points] == [2 * BATCH_FRAMES * 15, 4 * BATCH_FRAMES * 15,
                                                  (6 * BATCH_FRAMES + 100) * 15]
 
+    def test_pool_size_capped_at_cpu_count(self, monkeypatch):
+        # the pool forks all its workers at once; a stand-in records the size and maps serially
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            map = staticmethod(map)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        kw = dict(max_frames=3 * BATCH_FRAMES, min_errors=10**9)
+        want = run_ser_experiment(small_cfg(**kw)).points
+        for workers, size in [(5000, 2), (2, 2)]:
+            assert run_ser_experiment(small_cfg(workers=workers, **kw)).points == want
+            assert sizes.pop() == size
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        run_ser_experiment(small_cfg(workers=3, **kw))
+        assert sizes == [1]
+
     def test_stop_rule_respects_frame_cap(self):
         r = run_ser_experiment(small_cfg(snr_grid_db=(40.0,), min_errors=10**9,
                                          max_frames=100))

@@ -44,6 +44,19 @@ class TestOptimum:
         with pytest.raises(ValueError):
             optimize_power(8, p_s=0.0)
 
+    @pytest.mark.parametrize("l_block", [1, 8])
+    @pytest.mark.parametrize("p_s", [math.inf, math.nan])
+    def test_rejects_non_finite_power(self, l_block, p_s):
+        with pytest.raises(ValueError, match="finite"):
+            optimize_power(l_block, p_s)
+
+    @pytest.mark.parametrize("field", ["rho_r", "rho_n", "p_s"])
+    def test_allocation_rejects_infinite_power(self, field):
+        from gdmrelay.modulation import PowerAllocation
+
+        with pytest.raises(ValueError, match="finite"):
+            PowerAllocation(**{"rho_r": 1.0, "rho_n": 1.0, "p_s": 1.0, field: math.inf})
+
 
 class TestFeasibility:
     def test_strong_relay_link_is_quiet(self):
@@ -69,3 +82,8 @@ class TestFeasibility:
             r1 = feasibility_diagnostic(s, 4, 8, 1e4, 1.0)
             r2 = feasibility_diagnostic(s, 4, 8, 1e4, 10.0)
         assert r1 == pytest.approx(10 * r2, rel=1e-9)
+
+    @pytest.mark.parametrize("snrs", [(math.inf, 10.0), (10.0, math.inf), (math.nan, 10.0)])
+    def test_rejects_non_finite_snr(self, snrs):
+        with pytest.raises(ValueError, match="finite"):
+            feasibility_diagnostic(optimize_power(8), 4, 8, *snrs)
