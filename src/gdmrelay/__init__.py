@@ -16,13 +16,7 @@ from gdmrelay.modulation import (
     gdm_encode,
     noiseless_decode,
 )
-from gdmrelay.channel import (
-    NetworkTopology,
-    ChannelRealization,
-    draw_realization,
-    transmit,
-    effective_receive_snr,
-)
+from gdmrelay.channel import NetworkTopology, effective_receive_snr
 from gdmrelay.detectors import (
     DetectionContext,
     OpCount,
@@ -54,7 +48,6 @@ from gdmrelay.harness import (
     ExperimentConfig,
     PointResult,
     SimResult,
-    run_frame,
     run_ser_experiment,
     reproduce_figure,
 )

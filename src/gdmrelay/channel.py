@@ -1,26 +1,30 @@
-"""Quasi-static Rayleigh fading and AWGN for all network links.
+"""The link model: average link SNRs, random streams and their draws.
 
 Each link (source-destination, source-relay_n, relay_n-destination) keeps a
 single complex fading coefficient for a whole frame, redrawn independently
 from frame to frame.  Every link has unit noise variance and fading
 h ~ CN(0, snr).  There is no noise setting: the detectors depend on their
 samples only through SNR, so a link is described by its average SNR alone.
+
+The module provides `NetworkTopology` (the per-link average SNRs),
+`db_to_linear`, `substream` (the keyed random streams), `complex_normal`
+(the one fading and noise draw) and `effective_receive_snr`.  A simulation
+draws fading and noise only in the draw phase of `harness._simulate_batch`;
+y = h*u + n is formed in `harness._PointPlan.receive`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "db_to_linear",
     "NetworkTopology",
-    "ChannelRealization",
     "substream",
-    "draw_realization",
-    "transmit",
+    "complex_normal",
     "effective_receive_snr",
 ]
 
@@ -52,27 +56,6 @@ class NetworkTopology:
         if not all(0 < v < math.inf for v in (self.snr_sd, *self.snr_sr, *self.snr_rd)):
             raise ValueError("all SNRs must be finite and > 0")
 
-    @classmethod
-    def symmetric(cls, n_relays: int, snr_sd: float, snr_relay: float | None = None):
-        """All relay links share one average SNR (defaults to the S-D SNR)."""
-        if snr_relay is None:
-            snr_relay = snr_sd
-        return cls(
-            n_relays=n_relays,
-            snr_sd=snr_sd,
-            snr_sr=(snr_relay,) * n_relays,
-            snr_rd=(snr_relay,) * n_relays,
-        )
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One frame's fading coefficients: scalar S-D plus per-relay arrays."""
-
-    h_sd: complex
-    h_sr: np.ndarray
-    h_rd: np.ndarray
-
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Deterministic random stream keyed by (master_seed, *key).
@@ -97,30 +80,6 @@ def complex_normal(rng: np.random.Generator, var, size=None, out=None,
     for part in (out.real, out.imag):
         np.multiply(rng.standard_normal(size, out=scratch), scale, out=part)
     return out
-
-
-def draw_realization(topo: NetworkTopology, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one frame's independent link coefficients."""
-    h_sd = complex(complex_normal(rng, topo.snr_sd))
-    h_sr = complex_normal(rng, np.array(topo.snr_sr), size=topo.n_relays)
-    h_rd = complex_normal(rng, np.array(topo.snr_rd), size=topo.n_relays)
-    return ChannelRealization(h_sd=h_sd, h_sr=h_sr, h_rd=h_rd)
-
-
-def transmit(u, h, noise_var: float, rng: np.random.Generator | None = None,
-             noiseless: bool = False):
-    """Received sample(s) ``h*u + n`` with n ~ CN(0, noise_var).
-
-    ``noiseless=True`` returns h*u exactly (no stream consumption).
-    Accepts scalars or arrays for ``u``.
-    """
-    u = np.asarray(u)
-    y = h * u
-    if noiseless:
-        return y
-    if rng is None:
-        raise ValueError("rng is required unless noiseless=True")
-    return y + complex_normal(rng, noise_var, size=u.shape if u.shape else None)
 
 
 def effective_receive_snr(rho_t: float, rho_r: float, gamma_bar: float) -> float:

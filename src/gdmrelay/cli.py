@@ -183,6 +183,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_optimize(args) -> int:
     sol = power.optimize_power(args.L, args.power)
+    ratio = None  # checked before anything is printed
+    if args.gamma_sr is not None and args.gamma_sd is not None:
+        ratio = power.feasibility_diagnostic(
+            sol, args.mod, args.L, args.gamma_sr, args.gamma_sd)
     print(f"L={sol.l_block} p_s={sol.p_s:g}")
     print(f"rho_r* = {sol.rho_r_star:.9f}")
     print(f"rho_n* = {sol.rho_n_star:.9f}")
@@ -190,9 +194,7 @@ def _cmd_optimize(args) -> int:
           f"{math.sqrt(max(sol.l_block - 1, 0)):.9f})")
     if sol.degenerate:
         print("note: L=1 has no normal symbols; allocation is degenerate")
-    if args.gamma_sr is not None and args.gamma_sd is not None:
-        ratio = power.feasibility_diagnostic(
-            sol, args.mod, args.L, args.gamma_sr, args.gamma_sd)
+    if ratio is not None:
         print(f"feasibility ratio = {ratio:.3f} "
               f"(warn below {power.FEASIBILITY_WARN_RATIO:g})")
     return 0

@@ -11,9 +11,10 @@ the (y1, y2) pairs the batch detectors compare (`_PointPlan.receive`),
 (y[k1], y[k2]) for differential and (y, h) for coherent.
 
 A batch runs in two phases: it draws every random number it consumes (the
-info symbols, the fading, then each link's noise), then takes its frames in
-blocks of `_block_frames`, each from encoding to decision, so the arrays a
-block streams stay cache-sized.
+info symbols, the fading, then each link's noise; nothing else draws them),
+then takes its frames in blocks of `_block_frames`, each from encoding to
+decision, so the arrays a block streams stay cache-sized.  A genie relay
+forwards the source's samples and makes no decision.
 
 Each point runs in batches of ``BATCH_FRAMES`` frames (the last one may be
 shorter), in waves of ``workers`` batches: a wave runs in the process pool
@@ -52,8 +53,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from gdmrelay import analysis, detectors
-from gdmrelay.channel import (ChannelRealization, NetworkTopology, complex_normal,
-                              db_to_linear, substream)
+from gdmrelay.channel import NetworkTopology, complex_normal, db_to_linear, substream
 from gdmrelay.detectors import buffer, clamp_epsilon, count_ops, relay_reliability
 from gdmrelay.modulation import (GdmFrameConfig, PowerAllocation, _encode_samples,
                                  _sample_gains, make_alphabet)
@@ -64,7 +64,6 @@ __all__ = [
     "PointResult",
     "SimResult",
     "wilson_interval",
-    "run_frame",
     "run_ser_experiment",
     "reproduce_figure",
     "write_csv",
@@ -255,8 +254,7 @@ def _encode_batch(plan: _PointPlan, info: np.ndarray) -> np.ndarray:
 
 
 def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
-                    rng: np.random.Generator, n_frames: int,
-                    realization: ChannelRealization | None = None) -> np.ndarray:
+                    rng: np.random.Generator, n_frames: int) -> np.ndarray:
     """Simulate ``n_frames`` frames at one SNR point; returns the (F, K)
     boolean symbol-error mask (True = symbol error)."""
     n = cfg.n_relays
@@ -266,12 +264,8 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
     ws = _SLOT.ws
 
     info = rng.integers(1, cfg.m + 1, size=(n_frames, cfg.k_frame))
-    if realization is None:  # S-D, then S-R_i, then R-D_i
-        t = plan.topo
-        h = [complex_normal(rng, v, size=n_frames) for v in (t.snr_sd, *t.snr_sr, *t.snr_rd)]
-    else:
-        r = realization
-        h = [np.full(n_frames, v) for v in (r.h_sd, *r.h_sr, *r.h_rd)]
+    t = plan.topo  # fading: S-D, then S-R_i, then R-D_i
+    h = [complex_normal(rng, v, size=n_frames) for v in (t.snr_sd, *t.snr_sr, *t.snr_rd)]
     h_sd, h_sr, h_rd = h[0], h[1:n + 1], h[n + 1:]
     relay_only = cfg.detector == "relay-only"
     shape = (n_frames, cfg.k_frame + (plan.frame is not None))  # the shape of u
@@ -287,11 +281,14 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
         u_s = _encode_batch(plan, info[b])
         rd_pairs = []
         for i in range(n):
-            sr_pair = plan.receive(h_sr[i][b], u_s, noise[2 * i + 1][b])
-            det = detectors.relay_detect_batch(*sr_pair, plan.scale, plan.points, ws)
-            if relay_only:
-                break
-            u_r = _encode_batch(plan, info[b] if i < forced else det)
+            if i < forced and not relay_only:  # a genie relay forwards the source's samples
+                u_r = u_s
+            else:
+                sr_pair = plan.receive(h_sr[i][b], u_s, noise[2 * i + 1][b])
+                det = detectors.relay_detect_batch(*sr_pair, plan.scale, plan.points, ws)
+                if relay_only:
+                    break
+                u_r = _encode_batch(plan, det)
             rd_pairs.append(plan.receive(h_rd[i][b], u_r, noise[2 * i + 2][b]))
         else:  # every relay forwarded: the destination decides
             args = (*plan.receive(h_sd[b], u_s, noise[0][b]),
@@ -307,20 +304,9 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
     return err
 
 
-def _simulate_batch_noncoherent(cfg, snr_db, epsilons, rng, n_frames, realization=None):
+def _simulate_batch_noncoherent(cfg, snr_db, epsilons, rng, n_frames):
     """`_simulate_batch` with the destination's relay error rates given."""
-    return _simulate_batch(cfg, _point_plan(cfg, snr_db, epsilons), rng, n_frames, realization)
-
-
-def run_frame(cfg: ExperimentConfig, snr_db: float,
-              realization: ChannelRealization | None,
-              rng: np.random.Generator) -> np.ndarray:
-    """Simulate one frame end to end; returns the per-symbol error mask (K,).
-
-    For relay-only the frame ends at relay 1's decision, so fewer numbers are
-    drawn from ``rng`` than for the destination detectors.
-    """
-    return _simulate_batch(cfg, _point_plan(cfg, snr_db), rng, 1, realization)[0]
+    return _simulate_batch(cfg, _point_plan(cfg, snr_db, epsilons), rng, n_frames)
 
 
 def _run_batch(cfg: ExperimentConfig, plan: _PointPlan, point_index: int,

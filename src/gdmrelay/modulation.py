@@ -84,11 +84,6 @@ class PowerAllocation:
         return float(np.sqrt(self.rho_n / self.rho_r))
 
 
-def equal_power(p_s: float = 1.0) -> PowerAllocation:
-    """All symbols at the average power (the classical-DM allocation)."""
-    return PowerAllocation(rho_r=p_s, rho_n=p_s, p_s=p_s)
-
-
 @dataclass(frozen=True)
 class GdmFrameConfig:
     """Shape of one transmission frame: K info symbols, block length L, order M."""

@@ -1,25 +1,26 @@
 import numpy as np
 import pytest
 
-from gdmrelay.channel import (
-    NetworkTopology,
-    complex_normal,
-    draw_realization,
-    effective_receive_snr,
-    substream,
-    transmit,
-)
+from gdmrelay.channel import NetworkTopology, complex_normal, effective_receive_snr, substream
+from gdmrelay.harness import ExperimentConfig
+
+
+def topology(n_relays, snr_db, **offsets):
+    cfg = ExperimentConfig(n_relays=n_relays, m=4, k_frame=15, l_block=1, detector="nmld",
+                           snr_grid_db=(snr_db,), **offsets)
+    return cfg.topology(snr_db)
 
 
 class TestTopology:
     def test_symmetric_defaults(self):
-        t = NetworkTopology.symmetric(3, snr_sd=10.0)
+        t = topology(3, 10.0)
         assert t.snr_sr == (10.0,) * 3
         assert t.snr_rd == (10.0,) * 3
 
     def test_relay_link_override(self):
-        t = NetworkTopology.symmetric(2, snr_sd=10.0, snr_relay=100.0)
-        assert t.snr_sr == (100.0, 100.0)
+        t = topology(2, 10.0, sr_offset_db=10.0, rd_offset_db=10.0)
+        assert t.snr_sd == 10.0
+        assert t.snr_sr == t.snr_rd == (100.0, 100.0)
 
     def test_rejects_wrong_tuple_length(self):
         with pytest.raises(ValueError):
@@ -27,7 +28,7 @@ class TestTopology:
 
     def test_rejects_nonpositive_snr(self):
         with pytest.raises(ValueError):
-            NetworkTopology.symmetric(1, snr_sd=0.0)
+            NetworkTopology(n_relays=1, snr_sd=0.0, snr_sr=(1.0,), snr_rd=(1.0,))
 
 
 class TestRandomStreams:
@@ -46,35 +47,6 @@ class TestRandomStreams:
         z = complex_normal(rng, 4.0, size=200000)
         assert np.mean(np.abs(z) ** 2) == pytest.approx(4.0, rel=0.02)
         assert np.mean(z.real * z.imag) == pytest.approx(0.0, abs=0.02)
-
-
-class TestRealization:
-    def test_shapes(self):
-        t = NetworkTopology.symmetric(3, snr_sd=10.0)
-        r = draw_realization(t, substream(1, 0))
-        assert np.shape(r.h_sr) == (3,)
-        assert np.shape(r.h_rd) == (3,)
-
-    def test_fading_power(self):
-        t = NetworkTopology.symmetric(1, snr_sd=25.0)
-        rng = substream(2, 0)
-        hs = [draw_realization(t, rng).h_sd for _ in range(20000)]
-        assert np.mean(np.abs(hs) ** 2) == pytest.approx(25.0, rel=0.05)
-
-
-class TestTransmit:
-    def test_noiseless(self):
-        y = transmit(np.array([1.0, 1j]), 2.0, 1.0, noiseless=True)
-        np.testing.assert_allclose(y, [2.0, 2j])
-
-    def test_requires_rng_when_noisy(self):
-        with pytest.raises(ValueError):
-            transmit(np.array([1.0]), 1.0, 1.0)
-
-    def test_noise_level(self):
-        rng = substream(3, 0)
-        y = transmit(np.zeros(100000), 1.0, 0.25, rng)
-        assert np.mean(np.abs(y) ** 2) == pytest.approx(0.25, rel=0.03)
 
 
 class TestEffectiveSnr:

@@ -275,8 +275,10 @@ class TestNonFinitePower:
     ])
     def test_exits_3(self, argv, capsys):
         assert main(argv) == 3
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.count("\n") == 1 and err.startswith("error:") and "finite" in err
+        if argv[0] == "optimize":
+            assert out == ""  # nothing of the solution is printed before the check
 
     def test_config_file_infinity_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

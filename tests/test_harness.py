@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from gdmrelay import harness
-from gdmrelay.channel import ChannelRealization, substream
+from gdmrelay.channel import complex_normal, substream
 from gdmrelay.harness import (
     BATCH_FRAMES,
     ExperimentConfig,
+    _point_epsilons,
+    _simulate_batch_noncoherent,
     reproduce_figure,
-    run_frame,
     run_ser_experiment,
     wilson_interval,
     write_csv,
@@ -95,22 +96,43 @@ class TestWilson:
 
 
 class TestRunFrame:
+    """Seeded frames end to end, with the destination's relay error rates given."""
+
+    @staticmethod
+    def run(cfg, seed, n_frames=16):
+        snr = cfg.snr_grid_db[0]
+        return _simulate_batch_noncoherent(cfg, snr, _point_epsilons(cfg, snr),
+                                           substream(seed, 0), n_frames)
+
     def test_noise_free_strong_links_error_free(self):
-        cfg = small_cfg()
-        real = ChannelRealization(h_sd=1000.0 + 0j,
-                                  h_sr=np.array([1000.0 + 0j]),
-                                  h_rd=np.array([1000.0 + 0j]))
-        err = run_frame(cfg, 10.0, real, substream(0, 0))
-        assert err.shape == (15,)
+        err = self.run(small_cfg(snr_grid_db=(60.0,)), 0)
+        assert err.shape == (16, 15)
         assert not err.any()
 
     def test_deep_sd_fade_relay_carries(self):
-        cfg = small_cfg(snr_grid_db=(30.0,))
-        real = ChannelRealization(h_sd=1e-6 + 0j,
-                                  h_sr=np.array([1000.0 + 0j]),
-                                  h_rd=np.array([1000.0 + 0j]))
-        err = run_frame(cfg, 30.0, real, substream(1, 0))
+        cfg = small_cfg(snr_grid_db=(-30.0,), sr_offset_db=60.0, rd_offset_db=60.0)
+        err = self.run(cfg, 1)
         assert err.mean() < 0.5  # relay branch keeps the frame mostly intact
+
+
+class TestReceive:
+    def test_noiseless(self):
+        # with zero noise the pairs are (h*u[k1], h*u[k2]), and (h*u, h) when coherent
+        rng = substream(0, 0)
+        h = complex_normal(rng, 4.0, size=3)
+        for kw in (dict(), dict(k_frame=31, l_block=8), dict(detector="coherent")):
+            cfg = small_cfg(**kw)
+            plan = harness._point_plan(cfg, 10.0)
+            u = harness._encode_batch(plan, rng.integers(1, cfg.m + 1, size=(3, cfg.k_frame)))
+            y1, y2 = plan.receive(h, u, np.zeros(u.shape, complex))
+            hu = h[:, None] * u
+            if plan.frame is None:
+                np.testing.assert_array_equal(y1, hu)
+                np.testing.assert_array_equal(y2, h[:, None])
+            else:
+                k1, k2 = plan.frame.pair_positions()
+                np.testing.assert_array_equal(y1, hu[:, k1])
+                np.testing.assert_array_equal(y2, hu[:, k2])
 
 
 class TestRunExperiment:
@@ -263,6 +285,25 @@ class TestSeededResults:
         kw, expected = self.CASES[name]
         r = run_ser_experiment(ExperimentConfig(max_frames=512, min_errors=10**9, **kw))
         assert [(p.symbols, p.errors) for p in r.points] == expected
+
+
+class TestGenieRelays:
+    @pytest.mark.parametrize("kw, per_block", [
+        (dict(), 3),
+        (dict(relay_mode="genie-all"), 0),
+        (dict(relay_mode="genie-r", genie_r=1), 2),
+        (dict(relay_mode="genie-all", detector="relay-only"), 1),
+    ], ids=["realistic", "genie-all", "genie-r", "relay-only-genie-all"])
+    def test_relay_decides_only_when_used(self, kw, per_block, monkeypatch):
+        # a genie relay forwards the source's samples, so it makes no decision;
+        # relay-only still decides relay 1
+        calls = []
+        detect = harness.detectors.relay_detect_batch
+        monkeypatch.setattr(harness.detectors, "relay_detect_batch",
+                            lambda *a: calls.append(1) or detect(*a))
+        monkeypatch.setattr(harness, "BLOCK_SYMBOLS", 8 * 16)  # blocks of 8 frames
+        _batch(small_cfg(n_relays=3, **kw), 40, 0)
+        assert len(calls) == 5 * per_block
 
 
 class TestCommonRandomNumbers:

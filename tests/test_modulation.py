@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from gdmrelay.modulation import (
     GdmFrameConfig,
     PowerAllocation,
-    equal_power,
     gdm_encode,
     make_alphabet,
     noiseless_decode,
@@ -37,7 +36,7 @@ def reference_encode(info, cfg):
 
 def make_cfg(k, l, m, power=None):
     if power is None:
-        power = optimize_power(l).as_allocation() if l > 1 else equal_power()
+        power = optimize_power(l).as_allocation()
     return GdmFrameConfig(k_frame=k, l_block=l, m=m, power=power)
 
 
@@ -181,7 +180,7 @@ class TestEncode:
             gdm_encode(np.full((3, 7), 5), cfg)
 
     def test_l1_equal_power_is_classical_dm(self):
-        cfg = make_cfg(7, 1, 4, power=equal_power())
+        cfg = make_cfg(7, 1, 4, power=optimize_power(1).as_allocation())
         info = [2, 3, 1, 4, 2, 2, 3]
         u = gdm_encode(info, cfg).u
         a = make_alphabet(4)
