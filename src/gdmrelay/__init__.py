@@ -16,7 +16,7 @@ from gdmrelay.modulation import (
     gdm_encode,
     noiseless_decode,
 )
-from gdmrelay.channel import NetworkTopology, effective_receive_snr
+from gdmrelay.channel import effective_receive_snr
 from gdmrelay.detectors import (
     DetectionContext,
     OpCount,

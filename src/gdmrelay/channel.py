@@ -3,26 +3,24 @@
 Each link (source-destination, source-relay_n, relay_n-destination) keeps a
 single complex fading coefficient for a whole frame, redrawn independently
 from frame to frame.  Every link has unit noise variance and fading
-h ~ CN(0, snr).  There is no noise setting: the detectors depend on their
-samples only through SNR, so a link is described by its average SNR alone.
+h ~ CN(0, snr).  There is no noise setting: the detectors assume unit noise,
+so a link is described by its average SNR alone, and the relays share one S-R
+and one R-D SNR (`harness.ExperimentConfig.link_snrs`).
 
-The module provides `NetworkTopology` (the per-link average SNRs),
-`db_to_linear`, `substream` (the keyed random streams), `complex_normal`
-(the one fading and noise draw) and `effective_receive_snr`.  A simulation
-draws fading and noise only in the draw phase of `harness._simulate_batch`;
-y = h*u + n is formed in `harness._PointPlan.receive`.
+The module provides `db_to_linear`, `substream` (the keyed random streams),
+`complex_normal` (the one fading and noise draw) and `effective_receive_snr`.
+A simulation draws fading and noise only in the draw phase of
+`harness._simulate_batch`; y = h*u + n is formed in `harness._PointPlan.receive`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "db_to_linear",
-    "NetworkTopology",
     "substream",
     "complex_normal",
     "effective_receive_snr",
@@ -35,26 +33,6 @@ def db_to_linear(db: float) -> float:
         return 10.0 ** (db / 10.0)
     except OverflowError:
         return math.inf
-
-
-@dataclass(frozen=True)
-class NetworkTopology:
-    """Average link SNRs (linear) for N parallel relays; the noise is unit."""
-
-    n_relays: int
-    snr_sd: float
-    snr_sr: tuple
-    snr_rd: tuple
-
-    def __post_init__(self):
-        if self.n_relays < 0:
-            raise ValueError("n_relays must be >= 0")
-        object.__setattr__(self, "snr_sr", tuple(self.snr_sr))
-        object.__setattr__(self, "snr_rd", tuple(self.snr_rd))
-        if len(self.snr_sr) != self.n_relays or len(self.snr_rd) != self.n_relays:
-            raise ValueError("per-relay SNR tuples must have length n_relays")
-        if not all(0 < v < math.inf for v in (self.snr_sd, *self.snr_sr, *self.snr_rd)):
-            raise ValueError("all SNRs must be finite and > 0")
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:

@@ -168,8 +168,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     pa = power.optimize_power(args.L, args.power).as_allocation()
-    print("snr_db epsilon ser_error_free ser_erroneous ser_total")
-    for snr_db in args.snr:
+    rows = ["snr_db epsilon ser_error_free ser_erroneous ser_total"]
+    for snr_db in args.snr:  # every row is computed before anything is printed
         g = db_to_linear(snr_db)
         eps = analysis.relay_epsilon(pa, args.L, g, args.mod)
         eta = analysis.eta_threshold(
@@ -177,7 +177,8 @@ def _cmd_analyze(args) -> int:
         pc = analysis.ser_avg_error_free(args.relays, args.mod, eps, eta, g)
         pe = analysis.ser_avg_erroneous(args.relays, args.mod, eps, eta, g)
         total = min(pc + pe, 1.0)
-        print(f"{snr_db:g} {eps:.6e} {pc:.6e} {pe:.6e} {total:.6e}")
+        rows.append(f"{snr_db:g} {eps:.6e} {pc:.6e} {pe:.6e} {total:.6e}")
+    print("\n".join(rows))
     return 0
 
 
@@ -202,14 +203,13 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_complexity(args) -> int:
     kinds = ("amld", "pld", "nmld") if args.detector == "all" else (args.detector,)
+    counts = {kind: count_ops(kind, args.mod, args.relays) for kind in kinds}  # all before printing
     print("detector additions multiplications max_min exp_log total")
-    for kind in kinds:
-        c = count_ops(kind, args.mod, args.relays)
+    for kind, c in counts.items():
         print(f"{kind} {c.additions} {c.multiplications} "
               f"{c.max_min_ops} {c.exp_log_ops} {c.total}")
     if args.detector == "all":
-        amld = count_ops("amld", args.mod, args.relays).total
-        nmld = count_ops("nmld", args.mod, args.relays).total
+        amld, nmld = counts["amld"].total, counts["nmld"].total
         print(f"nmld saving vs amld: {100.0 * (1 - nmld / amld):.2f}%")
     return 0
 
@@ -279,10 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diversity", help="diversity orders")
     p.add_argument("--relays", type=int, required=True)
-    p.add_argument("--errors", type=int, default=None,
-                   help="condition on this many wrong relays")
-    p.add_argument("--genie-r", type=int, default=None,
-                   help="condition on this many guaranteed-correct relays")
+    condition = p.add_mutually_exclusive_group()
+    condition.add_argument("--errors", type=int, default=None,
+                           help="condition on this many wrong relays")
+    condition.add_argument("--genie-r", type=int, default=None,
+                           help="condition on this many guaranteed-correct relays")
     p.set_defaults(func=_cmd_diversity)
 
     p = sub.add_parser("reproduce", help="rerun a canned figure experiment")

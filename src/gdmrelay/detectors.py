@@ -3,6 +3,7 @@
 All destination detectors work on differential sample pairs (y[k1], y[k2])
 per link, at the positions `GdmFrameConfig.pair_positions` gives.  The pair
 scale is 1 for a reference symbol and sqrt(rho_n/rho_r) for a normal symbol.
+The detectors assume unit noise on every link, the link model of `channel`.
 
 Scalar functions (`relay_detect`, `nmld_detect`, ...) are the reference
 implementations used by the oracle tests; the `*_batch` variants vectorize
@@ -71,8 +72,6 @@ class DetectionContext:
 
     y_sd_pair: tuple
     y_rd_pairs: tuple
-    noise_sd: float
-    noise_rd: tuple
     scale: float
     etas: tuple = ()
 
@@ -163,14 +162,14 @@ class OpCounter:
 # ---------------------------------------------------------------------------
 
 
-def _pair_distances(y1, y2, scale, noise_var, points):
-    """|y1 - scale*y2*x|^2 / noise_var for every alphabet point."""
-    return np.abs(y1 - scale * y2 * points) ** 2 / noise_var
+def _pair_distances(y1, y2, scale, points):
+    """|y1 - scale*y2*x|^2 for every alphabet point."""
+    return np.abs(y1 - scale * y2 * points) ** 2
 
 
 def relay_detect(y_pair, scale: float, alphabet: PskAlphabet) -> int:
     """Minimum-distance detection of one differential pair; 1-based index."""
-    d = _pair_distances(y_pair[0], y_pair[1], scale, 1.0, alphabet.points)
+    d = _pair_distances(y_pair[0], y_pair[1], scale, alphabet.points)
     return int(np.argmin(d)) + 1
 
 
@@ -188,13 +187,12 @@ def nmld_detect(ctx: DetectionContext, alphabet: PskAlphabet,
     m = alphabet.m
     n = ctx.n_relays
     f = np.empty((n, m))
-    for i, (pair, nv) in enumerate(zip(ctx.y_rd_pairs, ctx.noise_rd)):
-        f[i] = _pair_distances(pair[0], pair[1], ctx.scale, nv, alphabet.points)
+    for i, pair in enumerate(ctx.y_rd_pairs):
+        f[i] = _pair_distances(pair[0], pair[1], ctx.scale, alphabet.points)
     if counter is not None:
         counter.branch_distance(n * m)
         counter.min_op(n * (m - 1))
-    d_sd = _pair_distances(ctx.y_sd_pair[0], ctx.y_sd_pair[1], ctx.scale,
-                           ctx.noise_sd, alphabet.points)
+    d_sd = _pair_distances(ctx.y_sd_pair[0], ctx.y_sd_pair[1], ctx.scale, alphabet.points)
     if counter is not None:
         counter.direct_distance(m)
     totals = d_sd.copy()
@@ -221,18 +219,16 @@ def amld_detect(ctx: DetectionContext, epsilons, alphabet: PskAlphabet) -> int:
 
     Per branch the likelihood mixes the relay-correct kernel with weight
     1-eps and the relay-wrong kernels with weight eps/(M-1); kernels are
-    complex Gaussians of variance (1 + scale^2) * noise_var.  Evaluated in
+    complex Gaussians of variance 1 + scale^2.  Evaluated in
     the log domain with a stable log-sum-exp.
     """
     m = alphabet.m
     s2 = ctx.scale**2
     eps = [clamp_epsilon(e) for e in epsilons]
-    d_sd = _pair_distances(ctx.y_sd_pair[0], ctx.y_sd_pair[1], ctx.scale,
-                           (1 + s2) * ctx.noise_sd, alphabet.points)
-    log_metric = -d_sd
-    for i, (pair, nv) in enumerate(zip(ctx.y_rd_pairs, ctx.noise_rd)):
-        f = _pair_distances(pair[0], pair[1], ctx.scale, (1 + s2) * nv,
-                            alphabet.points)
+    d_sd = _pair_distances(ctx.y_sd_pair[0], ctx.y_sd_pair[1], ctx.scale, alphabet.points)
+    log_metric = -d_sd / (1 + s2)
+    for i, pair in enumerate(ctx.y_rd_pairs):
+        f = _pair_distances(pair[0], pair[1], ctx.scale, alphabet.points) / (1 + s2)
         log_correct = math.log(1 - eps[i]) - f
         log_wrong = math.log(eps[i] / (m - 1)) - f
         for t in range(m):
@@ -246,15 +242,15 @@ def pld_pairwise_llr(ctx: DetectionContext, p: int, q: int,
     """Piecewise-linear log-likelihood of index p over index q.
 
     Lambda = t_0 + sum_n clamp(t_n, -eta_n/2, eta_n/2) with
-    t = (scale / noise_var) * Re{conj(y[k1]) * y[k2] * (x_p - x_q)}.
+    t = scale * Re{conj(y[k1]) * y[k2] * (x_p - x_q)}.
     Positive values favor x_p.
     """
     xp = alphabet.point(p)
     xq = alphabet.point(q)
     y1, y2 = ctx.y_sd_pair
-    lam = ctx.scale / ctx.noise_sd * (np.conj(y1) * y2 * (xp - xq)).real
-    for (y1, y2), nv, eta in zip(ctx.y_rd_pairs, ctx.noise_rd, ctx.etas):
-        t = ctx.scale / nv * (np.conj(y1) * y2 * (xp - xq)).real
+    lam = ctx.scale * (np.conj(y1) * y2 * (xp - xq)).real
+    for (y1, y2), eta in zip(ctx.y_rd_pairs, ctx.etas):
+        t = ctx.scale * (np.conj(y1) * y2 * (xp - xq)).real
         lam += min(max(t, -eta / 2), eta / 2)
     return float(lam)
 
@@ -273,8 +269,7 @@ def pld_detect(ctx: DetectionContext, alphabet: PskAlphabet) -> int:
     return champ
 
 
-def coherent_baseline_detect(y_sd, y_rd, h_sd, h_rd, noise_sd, noise_rd,
-                             epsilons, alphabet: PskAlphabet,
+def coherent_baseline_detect(y_sd, y_rd, h_sd, h_rd, epsilons, alphabet: PskAlphabet,
                              amplitude: float = 1.0) -> int:
     """Coherent reference detector with known destination-side coefficients.
 
@@ -283,10 +278,9 @@ def coherent_baseline_detect(y_sd, y_rd, h_sd, h_rd, noise_sd, noise_rd,
     reliability still enters only through the average error rate.
     """
     m = alphabet.m
-    d_sd = np.abs(y_sd - h_sd * amplitude * alphabet.points) ** 2 / noise_sd
-    totals = d_sd.copy()
-    for y, h, nv, e in zip(y_rd, h_rd, noise_rd, epsilons):
-        f = np.abs(y - h * amplitude * alphabet.points) ** 2 / nv
+    totals = np.abs(y_sd - h_sd * amplitude * alphabet.points) ** 2
+    for y, h, e in zip(y_rd, h_rd, epsilons):
+        f = np.abs(y - h * amplitude * alphabet.points) ** 2
         totals += np.minimum(f, f.min() + relay_reliability(clamp_epsilon(e), m))
     return int(np.argmin(totals)) + 1
 
@@ -309,8 +303,8 @@ def coherent_baseline_detect(y_sd, y_rd, h_sd, h_rd, noise_sd, noise_rd,
 #
 # Correlation form.  The points have one modulus (PSK, or the coherent
 # plan's sqrt(p_s) * points), so with r = y1 * conj(y2)
-#     |y1 - s*y2*x_t|^2 / v = c - (2s/v) * Re(r * conj(x_t)),
-# where c = (|y1|^2 + s^2 |y2|^2 |x|^2) / v does not depend on t.  c cancels
+#     |y1 - s*y2*x_t|^2 = c - 2s * Re(r * conj(x_t)),
+# where c = |y1|^2 + s^2 |y2|^2 |x|^2 does not depend on t.  c cancels
 # in the argmin, in the branch floor min(f, min_t f + eta) and in AMLD's
 # shifted log-sum-exp, so the relay, nmld and amld kernels maximize scores
 # q_t = w * Re(r * conj(x_t)) instead of minimizing distances.  Each link's
@@ -366,17 +360,17 @@ def relay_detect_batch(y1, y2, scale, points, ws=None) -> np.ndarray:
     return _first_argmax(_correlation(y1, y2, scale, points, ws, "branch"), ws)
 
 
-def nmld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
-                      scale, etas, points, ws=None) -> np.ndarray:
-    """Branch-floor decision on scores q = (2 scale / noise) * Re(r * conj(x_t)).
+def nmld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, scale, etas, points,
+                      ws=None) -> np.ndarray:
+    """Branch-floor decision on scores q = 2 scale * Re(r * conj(x_t)).
 
     Maximizes q_sd,t + sum_n max(q_n,t, max_u q_n,u - eta_n), the negated
     min(f, min f + eta) rule of `nmld_detect`.  Ties go to the lowest index.
     """
     w = 2 * np.asarray(scale)
-    totals = _correlation(y_sd1, y_sd2, w / noise_sd, points, ws, "totals")
+    totals = _correlation(y_sd1, y_sd2, w, points, ws, "totals")
     for i in range(len(y_rd1)):
-        branch = _correlation(y_rd1[i], y_rd2[i], w / noise_rd[i], points, ws, "branch")
+        branch = _correlation(y_rd1[i], y_rd2[i], w, points, ws, "branch")
         floor = np.max(branch, axis=0, out=buffer(ws, "top", branch.shape[1:]))
         floor -= etas[i]
         np.maximum(branch, floor, out=branch)
@@ -384,9 +378,9 @@ def nmld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
     return _first_argmax(totals, ws)
 
 
-def amld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
-                      scale, epsilons, points, ws=None) -> np.ndarray:
-    """Averaged-ML decision on scores q = 2 scale Re(r * conj(x_t)) / ((1 + scale^2) noise).
+def amld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, scale, epsilons, points,
+                      ws=None) -> np.ndarray:
+    """Averaged-ML decision on scores q = 2 scale Re(r * conj(x_t)) / (1 + scale^2).
 
     Per relay, the mixture (1-eps) e_t + eps/(M-1) (sum_u e_u - e_t) of the
     shifted kernels e_t = exp(q_t - max_u q_u) enters in the log domain.
@@ -395,9 +389,9 @@ def amld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
     m = len(points)
     s = np.asarray(scale)
     w = 2 * s / (1 + s**2)
-    log_metric = _correlation(y_sd1, y_sd2, w / noise_sd, points, ws, "totals")
+    log_metric = _correlation(y_sd1, y_sd2, w, points, ws, "totals")
     for i in range(len(y_rd1)):
-        branch = _correlation(y_rd1[i], y_rd2[i], w / noise_rd[i], points, ws, "branch")
+        branch = _correlation(y_rd1[i], y_rd2[i], w, points, ws, "branch")
         eps = clamp_epsilon(epsilons[i])
         wrong = eps / (m - 1)
         top = np.max(branch, axis=0, out=buffer(ws, "top", branch.shape[1:]))
@@ -412,8 +406,8 @@ def amld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
     return _first_argmax(log_metric, ws)
 
 
-def pld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
-                     scale, etas, points, ws=None) -> np.ndarray:
+def pld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, scale, etas, points,
+                     ws=None) -> np.ndarray:
     """Champion tournament of `pld_detect` in index order.
 
     The champion stays on Lambda = 0, so ties go to the lowest index.
@@ -423,10 +417,10 @@ def pld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, noise_sd, noise_rd,
     champ, row = (buffer(ws, name, shape, np.int64) for name in ("index", "row"))
     diff, prod, term = (buffer(ws, name, shape, complex) for name in ("diff", "prod", "term"))
     clipped, lose = buffer(ws, "clipped", shape), buffer(ws, "hit", shape, bool)
-    for r_i, y1, y2, nv in zip(r, [y_sd1, *y_rd1], [y_sd2, *y_rd2], [noise_sd, *noise_rd]):
+    for r_i, y1, y2 in zip(r, [y_sd1, *y_rd1], [y_sd2, *y_rd2]):
         np.conjugate(y1, out=r_i)
         r_i *= y2
-        r_i *= scale / nv
+        r_i *= scale
     champ.fill(1)
     for q in range(2, len(points) + 1):
         np.take(points, np.subtract(champ, 1, out=row), out=diff, mode="clip")

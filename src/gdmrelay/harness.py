@@ -53,7 +53,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from gdmrelay import analysis, detectors
-from gdmrelay.channel import NetworkTopology, complex_normal, db_to_linear, substream
+from gdmrelay.channel import complex_normal, db_to_linear, substream
 from gdmrelay.detectors import buffer, clamp_epsilon, count_ops, relay_reliability
 from gdmrelay.modulation import (GdmFrameConfig, PowerAllocation, _encode_samples,
                                  _sample_gains, make_alphabet)
@@ -113,10 +113,13 @@ class ExperimentConfig:
             raise ValueError("relay-only needs at least one relay")
         if self.min_errors < 1 or self.max_frames < 1:
             raise ValueError("min_errors and max_frames must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
             raise ValueError("SNR grid must be strictly increasing")
         for snr_db in self.snr_grid_db:
-            self.topology(snr_db)  # every link's linear SNR must be finite and > 0
+            if not all(0 < g < math.inf for g in self.link_snrs(snr_db)):
+                raise ValueError("all SNRs must be finite and > 0")
         self.frame_config()  # validate K/L/M/powers early
 
     def power_allocation(self) -> PowerAllocation:
@@ -132,14 +135,11 @@ class ExperimentConfig:
         return GdmFrameConfig(k_frame=self.k_frame, l_block=self.l_block,
                               m=self.m, power=self.power_allocation())
 
-    def topology(self, snr_db: float) -> NetworkTopology:
-        g_sd = db_to_linear(snr_db)
-        g_sr = db_to_linear(snr_db + self.sr_offset_db)
-        g_rd = db_to_linear(snr_db + self.rd_offset_db)
-        return NetworkTopology(
-            n_relays=self.n_relays, snr_sd=g_sd,
-            snr_sr=(g_sr,) * self.n_relays, snr_rd=(g_rd,) * self.n_relays,
-        )
+    def link_snrs(self, snr_db: float) -> tuple:
+        """Linear (S-D, S-R, R-D) average SNRs of grid point ``snr_db``; every
+        relay has the one S-R and the one R-D SNR, and the noise is unit."""
+        return (db_to_linear(snr_db), db_to_linear(snr_db + self.sr_offset_db),
+                db_to_linear(snr_db + self.rd_offset_db))
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def _point_epsilons(cfg: ExperimentConfig, snr_db: float) -> list[float]:
     """Average relay error rates assumed by the destination; the relays share one S-R SNR."""
     if cfg.n_relays == 0:
         return []
-    g_sr = cfg.topology(snr_db).snr_sr[0]
+    g_sr = cfg.link_snrs(snr_db)[1]
     if cfg.detector == "coherent":
         e = analysis.coherent_mpsk_rayleigh_ser(cfg.p_s * g_sr, cfg.m)
     else:
@@ -198,11 +198,12 @@ class _PointPlan:
     """Invariants of one SNR point, built once and shipped to every batch.
 
     ``frame`` is None for the coherent reference, whose ``points`` carry the
-    amplitude sqrt(p_s); ``gains`` are the encoder's `_sample_gains` and
-    ``etas`` the branch-floor thresholds per relay.
+    amplitude sqrt(p_s); ``snrs`` are `ExperimentConfig.link_snrs`, ``gains``
+    the encoder's `_sample_gains` and ``etas`` the branch-floor thresholds per
+    relay.
     """
 
-    topo: NetworkTopology
+    snrs: tuple
     frame: GdmFrameConfig | None
     points: np.ndarray
     gains: np.ndarray | None
@@ -229,13 +230,13 @@ def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPl
     points = make_alphabet(cfg.m).points
     log_terms = np.array([relay_reliability(e, cfg.m) for e in epsilons])
     if cfg.detector == "coherent":
-        return _PointPlan(cfg.topology(snr_db), None, math.sqrt(cfg.p_s) * points,
+        return _PointPlan(cfg.link_snrs(snr_db), None, math.sqrt(cfg.p_s) * points,
                           None, None, 1.0, epsilons, log_terms)
     fc = cfg.frame_config()
     k1, k2 = fc.pair_positions()
     scale = np.where(fc.ref_mask()[k1], 1.0, fc.power.ns_scale)
     etas = log_terms[:, None] * (1.0 + scale**2)[None, :]  # eta scales with the pair type
-    return _PointPlan(cfg.topology(snr_db), fc, points, _sample_gains(fc), k2, scale,
+    return _PointPlan(cfg.link_snrs(snr_db), fc, points, _sample_gains(fc), k2, scale,
                       epsilons, etas)
 
 
@@ -264,8 +265,8 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
     ws = _SLOT.ws
 
     info = rng.integers(1, cfg.m + 1, size=(n_frames, cfg.k_frame))
-    t = plan.topo  # fading: S-D, then S-R_i, then R-D_i
-    h = [complex_normal(rng, v, size=n_frames) for v in (t.snr_sd, *t.snr_sr, *t.snr_rd)]
+    g_sd, g_sr, g_rd = plan.snrs  # fading: S-D, then S-R_i, then R-D_i
+    h = [complex_normal(rng, v, size=n_frames) for v in (g_sd, *(g_sr,) * n, *(g_rd,) * n)]
     h_sd, h_sr, h_rd = h[0], h[1:n + 1], h[n + 1:]
     relay_only = cfg.detector == "relay-only"
     shape = (n_frames, cfg.k_frame + (plan.frame is not None))  # the shape of u
@@ -292,8 +293,7 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
             rd_pairs.append(plan.receive(h_rd[i][b], u_r, noise[2 * i + 2][b]))
         else:  # every relay forwarded: the destination decides
             args = (*plan.receive(h_sd[b], u_s, noise[0][b]),
-                    [p[0] for p in rd_pairs], [p[1] for p in rd_pairs],
-                    1.0, (1.0,) * n, plan.scale)
+                    [p[0] for p in rd_pairs], [p[1] for p in rd_pairs], plan.scale)
             if cfg.detector == "amld":
                 det = detectors.amld_detect_batch(*args, plan.epsilons, plan.points, ws)
             elif cfg.detector == "pld":

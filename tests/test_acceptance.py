@@ -153,7 +153,7 @@ def test_criterion_3_detector_oracle_equivalence():
         eta_arr = np.array(etas)[:, None] * np.ones(count)
 
         got = nmld_detect_batch(y_sd1, y_sd2, [p[0] for p in y_rd],
-                                [p[1] for p in y_rd], 1.0, [1.0] * n,
+                                [p[1] for p in y_rd],
                                 scale, eta_arr, pts)
 
         # independent brute-force minimization of the capped-branch objective
@@ -168,7 +168,7 @@ def test_criterion_3_detector_oracle_equivalence():
 
         if m == 2:
             pld = pld_detect_batch(y_sd1, y_sd2, [p[0] for p in y_rd],
-                                   [p[1] for p in y_rd], 1.0, [1.0] * n,
+                                   [p[1] for p in y_rd],
                                    scale, eta_arr, pts)
             pld_total += count
             pld_agree += int((pld == got).sum())

@@ -1,34 +1,29 @@
 import numpy as np
 import pytest
 
-from gdmrelay.channel import NetworkTopology, complex_normal, effective_receive_snr, substream
+from gdmrelay.channel import complex_normal, effective_receive_snr, substream
 from gdmrelay.harness import ExperimentConfig
 
 
-def topology(n_relays, snr_db, **offsets):
-    cfg = ExperimentConfig(n_relays=n_relays, m=4, k_frame=15, l_block=1, detector="nmld",
-                           snr_grid_db=(snr_db,), **offsets)
-    return cfg.topology(snr_db)
+def config(n_relays, snr_db, **offsets):
+    return ExperimentConfig(n_relays=n_relays, m=4, k_frame=15, l_block=1, detector="nmld",
+                            snr_grid_db=(snr_db,), **offsets)
 
 
 class TestTopology:
+    """A grid point has three linear link SNRs, (S-D, S-R, R-D), shared by all relays."""
+
     def test_symmetric_defaults(self):
-        t = topology(3, 10.0)
-        assert t.snr_sr == (10.0,) * 3
-        assert t.snr_rd == (10.0,) * 3
+        assert config(3, 10.0).link_snrs(10.0) == (10.0, 10.0, 10.0)
 
     def test_relay_link_override(self):
-        t = topology(2, 10.0, sr_offset_db=10.0, rd_offset_db=10.0)
-        assert t.snr_sd == 10.0
-        assert t.snr_sr == t.snr_rd == (100.0, 100.0)
-
-    def test_rejects_wrong_tuple_length(self):
-        with pytest.raises(ValueError):
-            NetworkTopology(n_relays=2, snr_sd=1.0, snr_sr=(1.0,), snr_rd=(1.0, 1.0))
+        assert config(2, 10.0, sr_offset_db=10.0, rd_offset_db=10.0).link_snrs(10.0) == (
+            10.0, 100.0, 100.0)
 
     def test_rejects_nonpositive_snr(self):
-        with pytest.raises(ValueError):
-            NetworkTopology(n_relays=1, snr_sd=0.0, snr_sr=(1.0,), snr_rd=(1.0,))
+        # 10^(-4000/10) underflows to a linear SNR of 0
+        with pytest.raises(ValueError, match="finite and > 0"):
+            config(1, -4000.0)
 
 
 class TestRandomStreams:

@@ -51,6 +51,23 @@ class TestExitCodes:
         assert rc == 3
         assert "genie_r" in capsys.readouterr().err
 
+    def test_negative_seed_returns_3(self, capsys):
+        rc = main(["simulate", "--seed", "-1", "--snr", "10", "--frames-max", "10"])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "master_seed" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--relays", "0", "--snr", "10"],
+        ["analyze", "--mod", "1", "--snr", "10"],
+        ["analyze", "--snr", "30,-20"],  # the 30 dB row is fine, -20 dB has eps >= 1/2
+        ["complexity", "--relays", "0"],
+    ])
+    def test_bad_input_prints_nothing(self, argv, capsys):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+
 
 class TestOptimize:
     def test_prints_known_split(self, capsys):
@@ -95,6 +112,13 @@ class TestDiversity:
     def test_genie_mode(self, capsys):
         main(["diversity", "--relays", "3", "--genie-r", "3"])
         assert "diversity=4" in capsys.readouterr().out
+
+    def test_errors_and_genie_r_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["diversity", "--relays", "2", "--errors", "1", "--genie-r", "1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not allowed with" in err
 
 
 class TestAnalyze:

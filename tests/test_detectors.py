@@ -42,10 +42,10 @@ def oracle_branch_floor(ctx, alphabet):
     for s in range(1, m + 1):
         xs = alphabet.point(s)
         y1, y2 = ctx.y_sd_pair
-        val = abs(y1 - ctx.scale * y2 * xs) ** 2 / ctx.noise_sd
-        for (r1, r2), nv, eta in zip(ctx.y_rd_pairs, ctx.noise_rd, ctx.etas):
-            f_s = abs(r1 - ctx.scale * r2 * xs) ** 2 / nv
-            f_min = min(abs(r1 - ctx.scale * r2 * alphabet.point(t)) ** 2 / nv
+        val = abs(y1 - ctx.scale * y2 * xs) ** 2
+        for (r1, r2), eta in zip(ctx.y_rd_pairs, ctx.etas):
+            f_s = abs(r1 - ctx.scale * r2 * xs) ** 2
+            f_min = min(abs(r1 - ctx.scale * r2 * alphabet.point(t)) ** 2
                         for t in range(1, m + 1))
             val += min(f_s, f_min + eta)
         if val < best_val:
@@ -58,18 +58,16 @@ def oracle_averaged_ml(ctx, epsilons, alphabet):
 
     Likelihood of candidate x_s multiplies, per relay, the mixture
     (1-eps) * g(x_s) + eps/(M-1) * sum_{t != s} g(x_t) with Gaussian kernels
-    g of variance (1 + scale^2) * noise_var.
+    g of variance 1 + scale^2 (unit noise on every link).
     """
     m = alphabet.m
-    s2 = ctx.scale**2
+    var = 1 + ctx.scale**2
     best, best_val = None, -math.inf
     for s in range(1, m + 1):
         xs = alphabet.point(s)
         y1, y2 = ctx.y_sd_pair
-        var = (1 + s2) * ctx.noise_sd
         val = math.exp(-abs(y1 - ctx.scale * y2 * xs) ** 2 / var)
-        for (r1, r2), nv, eps in zip(ctx.y_rd_pairs, ctx.noise_rd, epsilons):
-            var = (1 + s2) * nv
+        for (r1, r2), eps in zip(ctx.y_rd_pairs, epsilons):
             g = [math.exp(-abs(r1 - ctx.scale * r2 * alphabet.point(t)) ** 2 / var)
                  for t in range(1, m + 1)]
             mix = (1 - eps) * g[s - 1] + eps / (m - 1) * (sum(g) - g[s - 1])
@@ -95,7 +93,7 @@ def random_context(rng, m, n, snr_db=15.0, scale=1.0):
     etas = [(1 + scale**2) * math.log((1 - e) * (m - 1) / e) for e in eps]
     ctx = DetectionContext(
         y_sd_pair=pair(), y_rd_pairs=tuple(pair() for _ in range(n)),
-        noise_sd=1.0, noise_rd=(1.0,) * n, scale=scale, etas=tuple(etas))
+        scale=scale, etas=tuple(etas))
     return ctx, eps, alphabet
 
 
@@ -141,7 +139,6 @@ class TestBranchFloorDetector:
             ctx, _, alphabet = random_context(rng, 4, 1)
             big = DetectionContext(
                 y_sd_pair=ctx.y_sd_pair, y_rd_pairs=ctx.y_rd_pairs,
-                noise_sd=ctx.noise_sd, noise_rd=ctx.noise_rd,
                 scale=ctx.scale, etas=(1e9,))
             d = [abs(big.y_sd_pair[0] - big.y_sd_pair[1] * alphabet.point(t)) ** 2
                  + abs(big.y_rd_pairs[0][0] - big.y_rd_pairs[0][1] * alphabet.point(t)) ** 2
@@ -162,8 +159,7 @@ class TestAveragedMlDetector:
         # far-out samples must not overflow the mixture evaluation
         a = make_alphabet(4)
         ctx = DetectionContext(y_sd_pair=(300.0 + 0j, 300.0 + 0j),
-                               y_rd_pairs=((300.0 + 0j, 300.0 + 0j),),
-                               noise_sd=1.0, noise_rd=(1.0,), scale=1.0)
+                               y_rd_pairs=((300.0 + 0j, 300.0 + 0j),), scale=1.0)
         assert amld_detect(ctx, [1e-6], a) == 1
 
 
@@ -188,7 +184,6 @@ class TestPiecewiseLinearDetector:
             y1 = y2 * a.point(t)
             ctx = DetectionContext(y_sd_pair=(y1, y2),
                                    y_rd_pairs=((y1, y2),),
-                                   noise_sd=1.0, noise_rd=(1.0,),
                                    scale=1.0, etas=(5.0,))
             assert pld_detect(ctx, a) == t
 
@@ -200,7 +195,7 @@ class TestCoherentBaseline:
         for t in range(1, 5):
             x = a.point(t)
             assert coherent_baseline_detect(
-                h_sd * x, [h_rd * x], h_sd, [h_rd], 1.0, [1.0], [1e-3], a) == t
+                h_sd * x, [h_rd * x], h_sd, [h_rd], [1e-3], a) == t
 
     def test_unreliable_relay_branch_capped(self):
         # eps near 1/2 shrinks the penalty so a bad relay cannot flip the call
@@ -209,7 +204,7 @@ class TestCoherentBaseline:
         y_sd = h * a.point(1) * 3.0
         y_rd = h * a.point(2) * 3.0
         assert coherent_baseline_detect(
-            y_sd, [y_rd], 3.0 * h, [3.0 * h], 1.0, [1.0], [0.49], a) == 1
+            y_sd, [y_rd], 3.0 * h, [3.0 * h], [0.49], a) == 1
 
 
 class TestOperationCounts:
@@ -260,8 +255,7 @@ class TestBatchEquivalence:
             epss = eps  # per-relay eps; reuse the last draw for the batch
         etas = ctxs[-1].etas
         # rebuild contexts sharing one (eps, eta) set so batch args are uniform
-        ctxs = [DetectionContext(y_sd_pair=c.y_sd_pair, y_rd_pairs=c.y_rd_pairs,
-                                 noise_sd=1.0, noise_rd=(1.0,) * n, scale=1.0,
+        ctxs = [DetectionContext(y_sd_pair=c.y_sd_pair, y_rd_pairs=c.y_rd_pairs, scale=1.0,
                                  etas=etas) for c in ctxs]
         y_sd1 = np.array([c.y_sd_pair[0] for c in ctxs])
         y_sd2 = np.array([c.y_sd_pair[1] for c in ctxs])
@@ -271,18 +265,15 @@ class TestBatchEquivalence:
         scale = np.ones(k)
         eta_arr = np.array(etas)[:, None] * np.ones(k)
 
-        got = nmld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, 1.0, [1.0] * n,
-                                scale, eta_arr, pts)
+        got = nmld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, scale, eta_arr, pts)
         want = [nmld_detect(c, alphabet) for c in ctxs]
         assert got.tolist() == want
 
-        got = amld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, 1.0, [1.0] * n,
-                                scale, epss, pts)
+        got = amld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, scale, epss, pts)
         want = [amld_detect(c, epss, alphabet) for c in ctxs]
         assert got.tolist() == want
 
-        got = pld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, 1.0, [1.0] * n,
-                               scale, eta_arr, pts)
+        got = pld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, scale, eta_arr, pts)
         want = [pld_detect(c, alphabet) for c in ctxs]
         assert got.tolist() == want
 
@@ -299,17 +290,16 @@ class TestBatchEquivalence:
         info = rng.integers(1, m + 1, size=(f, k))
         tx = amplitude * alphabet.points[info - 1]
         h_sd, h_rd = 3.0 * cn(f), [2.0 * cn(f) for _ in range(n)]
-        noise_rd = [0.8 + 0.2 * i for i in range(n)]
         y_sd = h_sd[:, None] * tx + cn(f, k)
-        y_rd = [h[:, None] * tx + math.sqrt(v) * cn(f, k) for h, v in zip(h_rd, noise_rd)]
+        y_rd = [h[:, None] * tx + cn(f, k) for h in h_rd]
         eps = [clamp_epsilon(float(rng.uniform(1e-3, 0.3))) for _ in range(n)]
         etas = [math.log((1 - e) * (m - 1) / e) for e in eps]
 
         got = nmld_detect_batch(y_sd, h_sd[:, None], y_rd, [h[:, None] for h in h_rd],
-                                1.2, noise_rd, 1.0, etas, amplitude * alphabet.points)
+                                1.0, etas, amplitude * alphabet.points)
         want = [[coherent_baseline_detect(y_sd[i, j], [y[i, j] for y in y_rd], h_sd[i],
-                                          [h[i] for h in h_rd], 1.2, noise_rd, eps,
-                                          alphabet, amplitude=amplitude)
+                                          [h[i] for h in h_rd], eps, alphabet,
+                                          amplitude=amplitude)
                  for j in range(k)] for i in range(f)]
         assert got.tolist() == want
 
@@ -321,47 +311,6 @@ class TestBatchEquivalence:
         got = relay_detect_batch(y1, y2, np.full(50, 0.7), alphabet.points)
         want = [relay_detect((a, b), 0.7, alphabet) for a, b in zip(y1, y2)]
         assert got.tolist() == want
-
-
-class TestScaleInvariance:
-    """Decisions depend on the samples only through SNR: scaling both samples of
-    every pair by sigma and each noise variance by sigma^2 moves none of them.
-    This is why a link is described by its average SNR alone."""
-
-    @pytest.mark.parametrize("sigma", [2.0, 0.5])
-    @pytest.mark.parametrize("m,n", [(2, 1), (4, 3), (8, 1), (8, 3)])
-    def test_decisions_unchanged(self, m, n, sigma):
-        rng = substream(110, m, n)
-        alphabet = make_alphabet(m)
-        f, k = 64, 16
-
-        def cn(*shape):
-            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
-
-        scale = np.where(np.arange(k) % 4 == 0, 1.0, 0.6)
-        noise_sd, noise_rd = 0.7, [0.5 + 0.4 * i for i in range(n)]
-
-        def link(nv):
-            h = 4.0 * cn(f, 1)
-            x = alphabet.points[rng.integers(0, m, size=(f, k))]
-            y2 = h + math.sqrt(nv) * cn(f, k)
-            return scale * h * x + math.sqrt(nv) * cn(f, k), y2
-
-        y_sd = link(noise_sd)
-        y_rd = [link(v) for v in noise_rd]
-        eps = [clamp_epsilon(float(rng.uniform(1e-3, 0.3))) for _ in range(n)]
-        etas = np.array([math.log((1 - e) * (m - 1) / e) for e in eps])[:, None] * (1 + scale**2)
-
-        def decide(a, var):
-            args = (a * y_sd[0], a * y_sd[1], [a * y[0] for y in y_rd], [a * y[1] for y in y_rd],
-                    var * noise_sd, [var * v for v in noise_rd], scale)
-            return [relay_detect_batch(a * y_rd[0][0], a * y_rd[0][1], scale, alphabet.points),
-                    nmld_detect_batch(*args, etas, alphabet.points),
-                    amld_detect_batch(*args, eps, alphabet.points),
-                    pld_detect_batch(*args, etas, alphabet.points)]
-
-        for base, scaled in zip(decide(1.0, 1.0), decide(sigma, sigma**2)):
-            np.testing.assert_array_equal(scaled, base)
 
 
 class TestBatchTieRule:
@@ -383,7 +332,7 @@ class TestBatchTieRule:
         log_terms = np.array([math.log((1 - e) * (m - 1) / e) for e in eps])
         etas = log_terms[:, None] * (1 + scale**2)
         y_sd1, y_rd1 = cn(f, k), [cn(f, k) for _ in range(n)]
-        args = (y_sd1, zero, y_rd1, [zero] * n, 0.8, [1.3] * n, scale)
+        args = (y_sd1, zero, y_rd1, [zero] * n, scale)
         ones = np.ones((f, k), np.int64)
         np.testing.assert_array_equal(relay_detect_batch(y_sd1, zero, scale, alphabet.points),
                                       ones)
@@ -391,22 +340,20 @@ class TestBatchTieRule:
         np.testing.assert_array_equal(amld_detect_batch(*args, eps, alphabet.points), ones)
         np.testing.assert_array_equal(pld_detect_batch(*args, etas, alphabet.points), ones)
         h0 = np.zeros((f, 1), complex)  # coherent pairs with a zero fading coefficient
-        got = nmld_detect_batch(y_sd1, h0, y_rd1, [h0] * n, 0.8, [1.3] * n, 1.0,
-                                log_terms, 1.5 * alphabet.points)
+        got = nmld_detect_batch(y_sd1, h0, y_rd1, [h0] * n, 1.0, log_terms,
+                                1.5 * alphabet.points)
         np.testing.assert_array_equal(got, ones)
 
         for j in range(k):
             ctx = DetectionContext(y_sd_pair=(y_sd1[0, j], 0j),
                                    y_rd_pairs=tuple((y[0, j], 0j) for y in y_rd1),
-                                   noise_sd=0.8, noise_rd=(1.3,) * n, scale=scale[j],
-                                   etas=tuple(etas[:, j]))
+                                   scale=scale[j], etas=tuple(etas[:, j]))
             assert relay_detect((y_sd1[0, j], 0j), scale[j], alphabet) == 1
             assert nmld_detect(ctx, alphabet) == 1
             assert amld_detect(ctx, eps, alphabet) == 1
             assert pld_detect(ctx, alphabet) == 1
             assert coherent_baseline_detect(y_sd1[0, j], [y[0, j] for y in y_rd1], 0j,
-                                            [0j] * n, 0.8, [1.3] * n, eps, alphabet,
-                                            amplitude=1.5) == 1
+                                            [0j] * n, eps, alphabet, amplitude=1.5) == 1
 
 
 class TestExtremeSnr:
@@ -436,20 +383,19 @@ class TestExtremeSnr:
         eps = [clamp_epsilon(float(rng.uniform(1e-3, 0.3))) for _ in range(n)]
         log_terms = np.array([math.log((1 - e) * (m - 1) / e) for e in eps])
         etas = log_terms[:, None] * (1 + scale**2)
-        args = (y_sd1, y_sd2, [y[0] for y in rd], [y[1] for y in rd], 1.0, [1.0] * n, scale)
+        args = (y_sd1, y_sd2, [y[0] for y in rd], [y[1] for y in rd], scale)
         batch = {"relay": relay_detect_batch(rd[0][0], rd[0][1], scale, alphabet.points),
                  "nmld": nmld_detect_batch(*args, etas, alphabet.points),
                  "amld": amld_detect_batch(*args, eps, alphabet.points),
                  "pld": pld_detect_batch(*args, etas, alphabet.points),
                  "coherent": nmld_detect_batch(y_sd1, h_sd, [y[0] for y in rd],
-                                               [y[2] for y in rd], 1.0, [1.0] * n, 1.0,
-                                               log_terms, alphabet.points)}
+                                               [y[2] for y in rd], 1.0, log_terms,
+                                               alphabet.points)}
         for i in range(f):
             for j in range(k):
                 ctx = DetectionContext(y_sd_pair=(y_sd1[i, j], y_sd2[i, j]),
                                        y_rd_pairs=tuple((y[0][i, j], y[1][i, j]) for y in rd),
-                                       noise_sd=1.0, noise_rd=(1.0,) * n, scale=scale[j],
-                                       etas=tuple(etas[:, j]))
+                                       scale=scale[j], etas=tuple(etas[:, j]))
                 want = {"relay": relay_detect((rd[0][0][i, j], rd[0][1][i, j]), scale[j],
                                               alphabet),
                         "nmld": nmld_detect(ctx, alphabet),
@@ -457,7 +403,7 @@ class TestExtremeSnr:
                         "pld": pld_detect(ctx, alphabet),
                         "coherent": coherent_baseline_detect(
                             y_sd1[i, j], [y[0][i, j] for y in rd], h_sd[i, 0],
-                            [y[2][i, 0] for y in rd], 1.0, [1.0] * n, eps, alphabet)}
+                            [y[2][i, 0] for y in rd], eps, alphabet)}
                 for kind, value in want.items():
                     assert batch[kind][i, j] == value, (kind, i, j)
 
@@ -501,15 +447,14 @@ class TestBatchProperty:
         def run(ws, cut):
             """Every kernel on symbols ``cut``, results copied out of ``ws``."""
             p = [(a[:, cut], b[:, cut]) for a, b in pairs]
-            args = (*p[0], [a for a, _ in p[1:]], [b for _, b in p[1:]], 1.0, [1.0] * n,
-                    scale[cut])
+            args = (*p[0], [a for a, _ in p[1:]], [b for _, b in p[1:]], scale[cut])
             calls = {"relay": lambda: relay_detect_batch(*p[-1], scale[cut], alphabet.points, ws),
                      "nmld": lambda: nmld_detect_batch(*args, etas[:, cut], alphabet.points, ws),
                      "amld": lambda: amld_detect_batch(*args, eps, alphabet.points, ws),
                      "pld": lambda: pld_detect_batch(*args, etas[:, cut], alphabet.points, ws),
                      "coherent": lambda: nmld_detect_batch(
                          coh[0][0][:, cut], coh[0][1], [y[:, cut] for y, _ in coh[1:]],
-                         [h for _, h in coh[1:]], 1.0, [1.0] * n, 1.0, log_terms,
+                         [h for _, h in coh[1:]], 1.0, log_terms,
                          amplitude * alphabet.points, ws)}
             return {kind: call().copy() for kind, call in calls.items()}  # the next call reuses ws
 
@@ -521,8 +466,7 @@ class TestBatchProperty:
             for j in range(fc.k_frame):
                 ctx = DetectionContext(y_sd_pair=(pairs[0][0][i, j], pairs[0][1][i, j]),
                                        y_rd_pairs=tuple((a[i, j], b[i, j]) for a, b in pairs[1:]),
-                                       noise_sd=1.0, noise_rd=(1.0,) * n, scale=scale[j],
-                                       etas=tuple(etas[:, j]))
+                                       scale=scale[j], etas=tuple(etas[:, j]))
                 want = {"relay": relay_detect((pairs[-1][0][i, j], pairs[-1][1][i, j]),
                                               scale[j], alphabet),
                         "nmld": nmld_detect(ctx, alphabet),
@@ -530,7 +474,7 @@ class TestBatchProperty:
                         "pld": pld_detect(ctx, alphabet),
                         "coherent": coherent_baseline_detect(
                             coh[0][0][i, j], [y[i, j] for y, _ in coh[1:]], coh[0][1][i, 0],
-                            [h[i, 0] for _, h in coh[1:]], 1.0, [1.0] * n, eps, alphabet,
+                            [h[i, 0] for _, h in coh[1:]], eps, alphabet,
                             amplitude=amplitude)}
                 for kind, value in want.items():
                     assert whole[kind][i, j] == value, (kind, i, j)

@@ -76,9 +76,8 @@ class TestConfig:
             small_cfg(k_frame=15, l_block=8, rho_n=1.2).power_allocation()
 
     def test_topology_offsets(self):
-        t = small_cfg(sr_offset_db=10.0).topology(20.0)
-        assert t.snr_sd == pytest.approx(100.0)
-        assert t.snr_sr[0] == pytest.approx(1000.0)
+        snrs = small_cfg(sr_offset_db=10.0, rd_offset_db=-10.0).link_snrs(20.0)
+        assert snrs == pytest.approx((100.0, 1000.0, 10.0))
 
 
 class TestWilson:
@@ -278,6 +277,11 @@ class TestSeededResults:
         "coherent-genie": (dict(n_relays=1, m=8, k_frame=15, l_block=1, detector="coherent",
                                 relay_mode="genie-all", snr_grid_db=(15.0,), master_seed=9),
                            [(7680, 96)]),
+        # distinct S-R and R-D variances: pins the order of the fading draws
+        "link-offsets": (dict(n_relays=2, m=4, k_frame=31, l_block=1, detector="nmld",
+                              snr_grid_db=(5.0, 15.0), sr_offset_db=6.0, rd_offset_db=-3.0,
+                              master_seed=11),
+                         [(15872, 3123), (15872, 46)]),
     }
 
     @pytest.mark.parametrize("name", CASES)
