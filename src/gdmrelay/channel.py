@@ -10,7 +10,8 @@ and one R-D SNR (`harness.ExperimentConfig.link_snrs`).
 The module provides `db_to_linear`, `substream` (the keyed random streams),
 `complex_normal` (the one fading and noise draw) and `effective_receive_snr`.
 A simulation draws fading and noise only in the draw phase of
-`harness._simulate_batch`; y = h*u + n is formed in `harness._PointPlan.receive`.
+`harness._simulate_batch` (chunked draws are the same stream); y = h*u + n is
+formed in `harness._PointPlan.receive`.
 """
 
 from __future__ import annotations
@@ -48,15 +49,22 @@ def complex_normal(rng: np.random.Generator, var, size=None, out=None,
                    scratch=None) -> np.ndarray:
     """Circular complex Gaussian with total variance ``var`` (var/2 per part).
 
-    With ``out`` (complex, of shape ``size``) the draw is written there: each
-    part is drawn into the float ``scratch`` of shape ``size`` (a fresh one
-    when it is None) and scaled into ``out.real`` / ``out.imag``.
+    With ``out`` (C-contiguous complex of shape ``size``, ``var`` a scalar) each
+    part, real then imaginary, is drawn in chunks through the 1-D float
+    ``scratch`` (one chunk when it is None) and scaled into ``out``: the same
+    values and generator state as one whole draw.
     """
     scale = np.sqrt(np.asarray(var) / 2.0)
     if out is None:
         return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    for part in (out.real, out.imag):
-        np.multiply(rng.standard_normal(size, out=scratch), scale, out=part)
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    flat = out.reshape(-1)  # a view of out
+    scratch = np.empty(flat.size or 1) if scratch is None else scratch
+    for part in (flat.real, flat.imag):
+        for lo in range(0, part.size, scratch.size):
+            chunk = rng.standard_normal(out=scratch[:part.size - lo])
+            np.multiply(chunk, scale, out=part[lo:lo + chunk.size])
     return out
 
 

@@ -13,8 +13,11 @@ the (y1, y2) pairs the batch detectors compare (`_PointPlan.receive`),
 A batch runs in two phases: it draws every random number it consumes (the
 info symbols, the fading, then each link's noise; nothing else draws them),
 then takes its frames in blocks of `_block_frames`, each from encoding to
-decision, so the arrays a block streams stay cache-sized.  A genie relay
-forwards the source's samples and makes no decision.
+decision, so the arrays a block streams stay cache-sized.  Chunked draws (the
+info symbols into the smallest unsigned dtype for M, the noise through a
+block-sized scratch) are the same stream.  `_PointPlan.receive` forms y in the
+noise slice it consumes, and a relay's S-R arrays are dropped before the
+destination decides.  A genie relay forwards the source's samples.
 
 Each point runs in batches of ``BATCH_FRAMES`` frames (the last one may be
 shorter), in waves of ``workers`` batches: a wave runs in the process pool
@@ -23,11 +26,12 @@ holds.  Batch counts are accumulated in batch-index order and the point stops
 at the first batch that reaches ``min_errors``, mid-wave if need be.
 
 Workspace rule: one workspace per thread, a dict of named buffers, holds only
-the batch-shaped noise, which outlives the blocks, and the detector kernels'
-arrays, which cost page faults when made fresh (five times the minor faults
-per `dm-relays` benchmark pass).  Encoded samples and each link's y are plain
-arrays.  It holds one batch shape (frames, K, M, N, coherent or not) at a
-time: a batch of another shape replaces it.  `run_ser_experiment` drops it on
+the batch-shaped noise, which outlives the blocks (its only batch-sized
+buffers), the block-sized draw scratch and the detector kernels' arrays, which
+cost page faults when made fresh (five times the minor faults per `dm-relays`
+benchmark pass).  Encoded samples are plain arrays.  It holds one batch shape
+(frames, K, M, N, coherent or not) at a time: a batch of another shape
+replaces it.  `run_ser_experiment` drops it on
 return; pool workers fill their own.  Nothing returned aliases it: a batch's
 error mask is fresh.
 
@@ -115,6 +119,11 @@ class ExperimentConfig:
             raise ValueError("min_errors and max_frames must be >= 1")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.detector == "coherent" and self.l_block != 1:
+            raise ValueError("the coherent reference has no block structure: "
+                             f"l_block must be 1, got {self.l_block}")
         if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
             raise ValueError("SNR grid must be strictly increasing")
         for snr_db in self.snr_grid_db:
@@ -214,14 +223,14 @@ class _PointPlan:
 
     def receive(self, h: np.ndarray, u: np.ndarray, noise: np.ndarray) -> tuple:
         """Detector pairs of y = h*u + ``noise``: (y, h) when coherent, else
-        (y[k1], y[k2]), views of y but for the k2 of L > 1."""
-        y = h[:, None] * u
-        y += noise
+        (y[k1], y[k2]), views of y but for the k2 of L > 1.  y is formed in
+        ``noise``, which it consumes."""
+        noise += h[:, None] * u  # the same bits as h*u + noise
         if self.frame is None:
-            return y, h[:, None]
+            return noise, h[:, None]
         if self.frame.l_block == 1:  # k1 = 1..K, k2 = k1 - 1
-            return y[:, 1:], y[:, :-1]
-        return y[:, 1:], y[:, self.k2]
+            return noise[:, 1:], noise[:, :-1]
+        return noise[:, 1:], noise[:, self.k2]
 
 
 def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPlan:
@@ -254,6 +263,26 @@ def _encode_batch(plan: _PointPlan, info: np.ndarray) -> np.ndarray:
     return _encode_samples(info, plan.frame, plan.points, plan.gains)
 
 
+def _draw_info(rng: np.random.Generator, m: int, shape: tuple) -> np.ndarray:
+    """``rng.integers(1, m + 1, size=shape)``, the same values and generator state,
+    drawn in chunks of ``BLOCK_SYMBOLS`` into the smallest unsigned dtype for m."""
+    info = np.empty(math.prod(shape), np.min_scalar_type(m))
+    for lo in range(0, info.size, BLOCK_SYMBOLS):
+        chunk = info[lo:lo + BLOCK_SYMBOLS]
+        chunk[:] = rng.integers(1, m + 1, size=chunk.size)
+    return info.reshape(shape)
+
+
+def _relay_pair(plan: _PointPlan, u_s, h_sr, h_rd, sr_noise, rd_noise, genie: bool, ws):
+    """The R-D pair of one relay in a frame block, which decides and re-encodes or,
+    as a genie, forwards ``u_s``; all else it makes is dropped on return."""
+    if not genie:
+        det = detectors.relay_detect_batch(*plan.receive(h_sr, u_s, sr_noise), plan.scale,
+                                           plan.points, ws)
+        u_s = _encode_batch(plan, det)
+    return plan.receive(h_rd, u_s, rd_noise)
+
+
 def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
                     rng: np.random.Generator, n_frames: int) -> np.ndarray:
     """Simulate ``n_frames`` frames at one SNR point; returns the (F, K)
@@ -264,36 +293,30 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
         _SLOT.key, _SLOT.ws = key, {}
     ws = _SLOT.ws
 
-    info = rng.integers(1, cfg.m + 1, size=(n_frames, cfg.k_frame))
+    info = _draw_info(rng, cfg.m, (n_frames, cfg.k_frame))
     g_sd, g_sr, g_rd = plan.snrs  # fading: S-D, then S-R_i, then R-D_i
     h = [complex_normal(rng, v, size=n_frames) for v in (g_sd, *(g_sr,) * n, *(g_rd,) * n)]
     h_sd, h_sr, h_rd = h[0], h[1:n + 1], h[n + 1:]
     relay_only = cfg.detector == "relay-only"
     shape = (n_frames, cfg.k_frame + (plan.frame is not None))  # the shape of u
-    scratch = buffer(ws, "scratch", shape)
+    step = _block_frames(cfg.k_frame)
+    scratch = buffer(ws, "scratch", (step * shape[1],))
     # noise[0] is S-D, noise[2i + 1] S-R_i and noise[2i + 2] R-D_i; relay-only ends with S-R_1
     noise = [complex_normal(rng, 1.0, shape, out=buffer(ws, ("noise", j), shape, complex),
                             scratch=scratch) for j in range(2 if relay_only else 2 * n + 1)]
 
     forced = {"genie-all": n, "genie-r": cfg.genie_r}.get(cfg.relay_mode, 0)
     err = np.empty(info.shape, bool)
-    step = _block_frames(cfg.k_frame)
     for b in (slice(lo, lo + step) for lo in range(0, n_frames, step)):
         u_s = _encode_batch(plan, info[b])
-        rd_pairs = []
-        for i in range(n):
-            if i < forced and not relay_only:  # a genie relay forwards the source's samples
-                u_r = u_s
-            else:
-                sr_pair = plan.receive(h_sr[i][b], u_s, noise[2 * i + 1][b])
-                det = detectors.relay_detect_batch(*sr_pair, plan.scale, plan.points, ws)
-                if relay_only:
-                    break
-                u_r = _encode_batch(plan, det)
-            rd_pairs.append(plan.receive(h_rd[i][b], u_r, noise[2 * i + 2][b]))
-        else:  # every relay forwarded: the destination decides
+        if relay_only:  # relay 1 decides, genie mode or not
+            det = detectors.relay_detect_batch(*plan.receive(h_sr[0][b], u_s, noise[1][b]),
+                                               plan.scale, plan.points, ws)
+        else:
+            rd = [_relay_pair(plan, u_s, h_sr[i][b], h_rd[i][b], noise[2 * i + 1][b],
+                              noise[2 * i + 2][b], i < forced, ws) for i in range(n)]
             args = (*plan.receive(h_sd[b], u_s, noise[0][b]),
-                    [p[0] for p in rd_pairs], [p[1] for p in rd_pairs], plan.scale)
+                    [p[0] for p in rd], [p[1] for p in rd], plan.scale)
             if cfg.detector == "amld":
                 det = detectors.amld_detect_batch(*args, plan.epsilons, plan.points, ws)
             elif cfg.detector == "pld":
@@ -322,7 +345,7 @@ def _run_point(cfg: ExperimentConfig, point_index: int, mapper) -> PointResult:
     plan = _point_plan(cfg, cfg.snr_grid_db[point_index])
     run = functools.partial(_run_batch, cfg, plan, point_index)
     n_batches = -(-cfg.max_frames // BATCH_FRAMES)
-    step = max(cfg.workers, 1)
+    step = cfg.workers
     # waves of `step` batches, chained lazily: a wave is mapped only once the
     # one before it is used up without meeting the stop rule
     counts = itertools.chain.from_iterable(

@@ -179,7 +179,7 @@ def _sample_gains(cfg: GdmFrameConfig) -> np.ndarray:
 
 def _encode_samples(info: np.ndarray, cfg: GdmFrameConfig, points: np.ndarray,
                     gains: np.ndarray) -> np.ndarray:
-    """The samples of `gdm_encode` from unchecked (..., K) int64 indices, the
+    """The samples of `gdm_encode` from unchecked (..., K) integer indices, the
     alphabet ``points`` and the `_sample_gains` of ``cfg``."""
     u = points[_phase_indices(info, cfg)]
     u *= gains

@@ -4,11 +4,12 @@ The kernel benchmarks time one 256-frame batch of N=3 relays, M=4, K=127,
 with the pair layout, scales and thresholds the harness builds at 18 dB, and
 one reused workspace, as the harness calls them.  The batch benchmarks time
 `harness._simulate_batch` at the shapes of the two gated benchmark workloads
-and record in ``extra_info`` the minor page faults per batch (``ru_minflt``)
-and the bytes the batch workspace holds, so allocator churn and footprint
-show.  The cold-start benchmark times ``import gdmrelay`` in fresh
-interpreters and records the modules loaded and the peak RSS in
-``extra_info``, so an import-time regression shows.  The file name keeps it
+and record in ``extra_info`` the minor page faults per batch (``ru_minflt``),
+the bytes the batch workspace holds and the traced peak bytes of one batch
+started from an empty workspace, so allocator churn and footprint show.
+The cold-start benchmark times ``import gdmrelay`` in fresh interpreters and
+records the modules loaded and the peak RSS in ``extra_info``, so an
+import-time regression shows.  The file name keeps it
 out of the default test run; run it with
 
     python3 -m pytest tests/perf_kernels.py --benchmark-only
@@ -21,6 +22,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -93,13 +95,20 @@ def test_simulate_batch(benchmark, shape):
         calls += 1
         return harness._simulate_batch(cfg, plan, substream(0, 0, calls), FRAMES)
 
-    run()  # the first batch of a shape fills the workspace
+    vars(harness._SLOT).clear()
+    tracemalloc.start()
+    try:
+        run()  # the first batch of a shape, from an empty workspace, fills it
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     calls = 0
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     benchmark(run)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     benchmark.extra_info["minor_faults_per_batch"] = faults / calls
     benchmark.extra_info["workspace_bytes"] = sum(b.nbytes for b in harness._SLOT.ws.values())
+    benchmark.extra_info["first_batch_peak_bytes"] = peak
 
 
 COLD_START = ("import json, resource, sys; import gdmrelay; print(json.dumps("

@@ -43,6 +43,22 @@ class TestRandomStreams:
         assert np.mean(np.abs(z) ** 2) == pytest.approx(4.0, rel=0.02)
         assert np.mean(z.real * z.imag) == pytest.approx(0.0, abs=0.02)
 
+    @pytest.mark.parametrize("chunk", [None, 1, 7, 64, 25 * 11, 10**4])
+    def test_chunked_draw_is_the_same_stream(self, chunk):
+        # a scratch shorter than the array and a length (25 * 11) it does not divide
+        want_rng, rng = substream(3, 1), substream(3, 1)
+        want = complex_normal(want_rng, 2.5, (25, 11))
+        out = np.empty((25, 11), complex)
+        scratch = None if chunk is None else np.empty(chunk)
+        assert complex_normal(rng, 2.5, (25, 11), out=out, scratch=scratch) is out
+        np.testing.assert_array_equal(out, want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_rejects_out_that_is_not_contiguous(self):
+        # a chunked draw writes through a flat view of out, which a transpose has not
+        with pytest.raises(ValueError, match="C-contiguous"):
+            complex_normal(substream(3, 1), 1.0, (4, 3), out=np.empty((3, 4), complex).T)
+
 
 class TestEffectiveSnr:
     def test_equal_powers_halve(self):

@@ -57,6 +57,22 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and "master_seed" in err
 
+    def test_no_workers_returns_3(self, capsys):
+        rc = main(["simulate", "--threads", "0", "--snr", "10", "--frames-max", "10",
+                   "--K", "15"])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "workers" in err
+        assert err.count("error:") == 1
+
+    @pytest.mark.parametrize("split", [["--L", "4", "--K", "15"], ["--L", "8", "--K", "16"]])
+    def test_coherent_block_length_returns_3(self, split, capsys):
+        rc = main(["simulate", "--detector", "coherent", *split, "--snr", "10",
+                   "--frames-max", "10"])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "coherent reference has no block structure" in err
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--relays", "0", "--snr", "10"],
         ["analyze", "--mod", "1", "--snr", "10"],

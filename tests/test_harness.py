@@ -75,6 +75,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(k_frame=15, l_block=8, rho_n=1.2).power_allocation()
 
+    def test_rejects_no_workers(self):
+        for workers in (0, -5):
+            with pytest.raises(ValueError, match="workers"):
+                small_cfg(workers=workers)
+
+    @pytest.mark.parametrize("k_frame, l_block", [(15, 4), (16, 8)])
+    def test_coherent_rejects_block_length(self, k_frame, l_block):
+        with pytest.raises(ValueError, match="coherent reference has no block structure"):
+            small_cfg(detector="coherent", k_frame=k_frame, l_block=l_block)
+
     def test_topology_offsets(self):
         snrs = small_cfg(sr_offset_db=10.0, rd_offset_db=-10.0).link_snrs(20.0)
         assert snrs == pytest.approx((100.0, 1000.0, 10.0))
@@ -483,13 +493,29 @@ class TestWorkspace:
             np.testing.assert_array_equal(harness._simulate_batch(cfg, plan, rng, f), want[i])
             assert rng.bit_generator.state == _drawn_like_one_batch(cfg, f, i).bit_generator.state
 
+    @pytest.mark.parametrize("m", [2, 3, 8, 255, 256, 1024])
+    def test_chunked_info_draw_is_the_same_stream(self, m, monkeypatch):
+        # chunks of 1,000 symbols leave a ragged tail of 40 * 63 = 2,520
+        monkeypatch.setattr(harness, "BLOCK_SYMBOLS", 1000)
+        want_rng, rng = substream(4, m), substream(4, m)
+        want = want_rng.integers(1, m + 1, size=(40, 63))
+        info = harness._draw_info(rng, m, (40, 63))
+        assert info.dtype == np.min_scalar_type(m) and info.dtype.kind == "u"
+        np.testing.assert_array_equal(info, want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_block_frames(self):
         assert [harness._block_frames(k) for k in (15, 63, 127, 255, 511, 16383, 40000)] == [
             256, 256, 128, 64, 32, 1, 1]
 
-    def test_footprint(self):
-        # one batch of the gdm-long benchmark's nmld sweep, from an empty workspace
-        cfg = small_cfg(k_frame=511, l_block=256, snr_grid_db=(28.0,))
+    @pytest.mark.parametrize("kw, bound_mib", [
+        (dict(k_frame=511, l_block=256, snr_grid_db=(28.0,)), 11),  # gdm-long
+        (dict(n_relays=3, k_frame=127, snr_grid_db=(18.0,)), 7),  # dm-relays
+    ], ids=["gdm-long", "dm-relays"])
+    def test_footprint(self, kw, bound_mib):
+        # one batch of a benchmark workload's nmld sweep, from an empty workspace:
+        # besides the 2N + 1 noise arrays, a batch holds only block-sized arrays
+        cfg = small_cfg(**kw)
 
         def peak():
             tracemalloc.start()
@@ -499,7 +525,7 @@ class TestWorkspace:
             finally:
                 tracemalloc.stop()
 
-        assert _in_fresh_thread(peak) < 16 * 2**20
+        assert _in_fresh_thread(peak) < bound_mib * 2**20
 
     def test_experiment_drops_the_workspace(self):
         _batch(*self.SEQUENCE[2], 0)
