@@ -50,7 +50,6 @@ class SerPrediction:
     value: float
     error_free: float
     erroneous: float
-    regime: str
 
 
 def q_function(x):
@@ -127,8 +126,7 @@ def ser_conditional_single(gamma_sd: float, gamma_rd: float, epsilon: float,
     p_c = min(max(p_c, 0.0), 1.0)
     p_e = min(max(p_e, 0.0), 1.0)
     value = min(p_c + p_e, 1.0)
-    return SerPrediction(value=value, error_free=p_c, erroneous=p_e,
-                         regime="conditional")
+    return SerPrediction(value=value, error_free=p_c, erroneous=p_e)
 
 
 def bessel_k(order: int, x: float) -> float:

@@ -49,14 +49,14 @@ def complex_normal(rng: np.random.Generator, var, size=None, out=None,
                    scratch=None) -> np.ndarray:
     """Circular complex Gaussian with total variance ``var`` (var/2 per part).
 
-    With ``out`` (C-contiguous complex of shape ``size``, ``var`` a scalar) each
-    part, real then imaginary, is drawn in chunks through the 1-D float
-    ``scratch`` (one chunk when it is None) and scaled into ``out``: the same
-    values and generator state as one whole draw.
+    One path: ``out`` (C-contiguous complex of shape ``size``, made when it is
+    None; ``var`` a scalar) gets each part, real then imaginary, drawn in chunks
+    through the 1-D float ``scratch`` (one chunk when it is None) and scaled:
+    the same values and generator state as one whole draw.
     """
     scale = np.sqrt(np.asarray(var) / 2.0)
     if out is None:
-        return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        out = np.empty(() if size is None else size, complex)
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     flat = out.reshape(-1)  # a view of out

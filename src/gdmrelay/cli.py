@@ -20,7 +20,7 @@ import sys
 
 from gdmrelay import analysis, harness, power
 from gdmrelay.channel import db_to_linear
-from gdmrelay.detectors import count_ops
+from gdmrelay.detectors import EPSILON_FLOOR, count_ops
 from gdmrelay.harness import ExperimentConfig, run_ser_experiment
 
 SNR_GRID_MAX_POINTS = 10_000
@@ -172,8 +172,7 @@ def _cmd_analyze(args) -> int:
     for snr_db in args.snr:  # every row is computed before anything is printed
         g = db_to_linear(snr_db)
         eps = analysis.relay_epsilon(pa, args.L, g, args.mod)
-        eta = analysis.eta_threshold(
-            max(eps, 1e-12), args.mod, pa.rho_r, pa.rho_r)
+        eta = analysis.eta_threshold(max(eps, EPSILON_FLOOR), args.mod, pa.rho_r, pa.rho_r)
         pc = analysis.ser_avg_error_free(args.relays, args.mod, eps, eta, g)
         pe = analysis.ser_avg_erroneous(args.relays, args.mod, eps, eta, g)
         total = min(pc + pe, 1.0)
@@ -185,7 +184,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_optimize(args) -> int:
     sol = power.optimize_power(args.L, args.power)
     ratio = None  # checked before anything is printed
-    if args.gamma_sr is not None and args.gamma_sd is not None:
+    if args.gamma_sr is not None:  # main() checks that both are given
         ratio = power.feasibility_diagnostic(
             sol, args.mod, args.L, args.gamma_sr, args.gamma_sd)
     print(f"L={sol.l_block} p_s={sol.p_s:g}")
@@ -235,8 +234,8 @@ def _cmd_reproduce(args) -> int:
         sers = " ".join(f"{p.ser:.3e}" for p in res.points)
         print(f"{args.figure}/{name}: {sers}")
     if not results:
-        print(f"{args.figure}: analytic data written"
-              + (f" to {args.out_dir}" if args.out_dir else ""))
+        print(f"{args.figure}: analytic data " + (f"written to {args.out_dir}" if args.out_dir
+                                                  else "not written: no --out-dir given"))
     return 0
 
 
@@ -299,6 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "optimize" and (args.gamma_sr is None) != (args.gamma_sd is None):
+        parser.error("optimize: --gamma-sr and --gamma-sd must be given together")
     if getattr(args, "config", None):
         _load_config_file(args.config, args, parser)
     try:

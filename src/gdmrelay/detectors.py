@@ -14,9 +14,9 @@ The relay, nmld and amld batch kernels decide on correlation scores
 Re(y1*conj(y2)*conj(x_t)), one real (M, ..., K) array per link with the
 alphabet axis leading, not on distances (derivation in the batch section).
 
-The coherent baseline in batch form is `nmld_detect_batch` on (y, h) pairs
-(sample and known fading coefficient) with scale 1, the alphabet times the
-amplitude and eta = `relay_reliability`.
+The coherent baseline is the branch-floor rule on (y, h) pairs (sample and
+known fading coefficient) with eta = `relay_reliability`: `nmld_detect` with
+scale the amplitude, or `nmld_detect_batch` with the points times it.
 """
 
 from __future__ import annotations
@@ -271,18 +271,14 @@ def pld_detect(ctx: DetectionContext, alphabet: PskAlphabet) -> int:
 
 def coherent_baseline_detect(y_sd, y_rd, h_sd, h_rd, epsilons, alphabet: PskAlphabet,
                              amplitude: float = 1.0) -> int:
-    """Coherent reference detector with known destination-side coefficients.
-
-    Mirrors the branch-floor structure with instantaneous h in place of the
-    differential reference and threshold log((1-eps)(M-1)/eps); relay
-    reliability still enters only through the average error rate.
+    """Coherent reference detector with known destination-side coefficients:
+    `nmld_detect` on (y, h) pairs with scale ``amplitude`` and threshold
+    log((1-eps)(M-1)/eps), so relay reliability enters only through the
+    average error rate.
     """
-    m = alphabet.m
-    totals = np.abs(y_sd - h_sd * amplitude * alphabet.points) ** 2
-    for y, h, e in zip(y_rd, h_rd, epsilons):
-        f = np.abs(y - h * amplitude * alphabet.points) ** 2
-        totals += np.minimum(f, f.min() + relay_reliability(clamp_epsilon(e), m))
-    return int(np.argmin(totals)) + 1
+    etas = tuple(relay_reliability(clamp_epsilon(e), alphabet.m) for e in epsilons)
+    return nmld_detect(DetectionContext((y_sd, h_sd), tuple(zip(y_rd, h_rd)), amplitude, etas),
+                       alphabet)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,11 @@ Workspace rule: one workspace per thread, a dict of named buffers, holds only
 the batch-shaped noise, which outlives the blocks (its only batch-sized
 buffers), the block-sized draw scratch and the detector kernels' arrays, which
 cost page faults when made fresh (five times the minor faults per `dm-relays`
-benchmark pass).  Encoded samples are plain arrays.  It holds one batch shape
-(frames, K, M, N, coherent or not) at a time: a batch of another shape
-replaces it.  `run_ser_experiment` drops it on
-return; pool workers fill their own.  Nothing returned aliases it: a batch's
-error mask is fresh.
+benchmark pass).  Encoded samples are plain arrays.  Each named buffer keeps
+its last shape and is made anew when a batch needs another (`detectors.buffer`);
+nothing reads a buffer before writing it.  `run_ser_experiment` drops the
+workspace on return; pool workers fill their own.  Nothing returned aliases
+it: a batch's error mask is fresh.
 
 Reproducibility contract: random draws are keyed by
 (master_seed, point_index, batch_index) with a fixed frame-batch size, so
@@ -79,7 +79,7 @@ DETECTOR_KINDS = ("nmld", "amld", "pld", "coherent", "relay-only")
 RELAY_MODES = ("realistic", "genie-all", "genie-r")
 BATCH_FRAMES = 256  # fixed rng keying unit; do not change between runs
 BLOCK_SYMBOLS = 1 << 14  # samples per frame block of a batch's compute phase (`_block_frames`)
-_SLOT = threading.local()  # this thread's batch workspace: .key and .ws
+_SLOT = threading.local()  # this thread's batch workspace: .ws
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,7 @@ class _PointPlan:
     ``frame`` is None for the coherent reference, whose ``points`` carry the
     amplitude sqrt(p_s); ``snrs`` are `ExperimentConfig.link_snrs`, ``gains``
     the encoder's `_sample_gains` and ``etas`` the branch-floor thresholds per
-    relay.
+    relay: `analysis.eta_threshold` per pair, or `relay_reliability` if coherent.
     """
 
     snrs: tuple
@@ -237,14 +237,14 @@ def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPl
     """The plan of one SNR point; ``epsilons`` defaults to `_point_epsilons`."""
     epsilons = tuple(_point_epsilons(cfg, snr_db) if epsilons is None else epsilons)
     points = make_alphabet(cfg.m).points
-    log_terms = np.array([relay_reliability(e, cfg.m) for e in epsilons])
     if cfg.detector == "coherent":
+        etas = np.array([relay_reliability(e, cfg.m) for e in epsilons])
         return _PointPlan(cfg.link_snrs(snr_db), None, math.sqrt(cfg.p_s) * points,
-                          None, None, 1.0, epsilons, log_terms)
+                          None, None, 1.0, epsilons, etas)
     fc = cfg.frame_config()
     k1, k2 = fc.pair_positions()
-    scale = np.where(fc.ref_mask()[k1], 1.0, fc.power.ns_scale)
-    etas = log_terms[:, None] * (1.0 + scale**2)[None, :]  # eta scales with the pair type
+    scale = np.where(fc.ref_mask()[k1], 1.0, fc.power.ns_scale)  # sqrt(rho_t/rho_r) per pair
+    etas = np.array([analysis.eta_threshold(e, cfg.m, scale**2, 1.0) for e in epsilons])
     return _PointPlan(cfg.link_snrs(snr_db), fc, points, _sample_gains(fc), k2, scale,
                       epsilons, etas)
 
@@ -288,10 +288,7 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
     """Simulate ``n_frames`` frames at one SNR point; returns the (F, K)
     boolean symbol-error mask (True = symbol error)."""
     n = cfg.n_relays
-    key = (n_frames, cfg.k_frame, cfg.m, n, plan.frame is None)
-    if getattr(_SLOT, "key", None) != key:  # a new batch shape replaces the workspace
-        _SLOT.key, _SLOT.ws = key, {}
-    ws = _SLOT.ws
+    ws = vars(_SLOT).setdefault("ws", {})
 
     info = _draw_info(rng, cfg.m, (n_frames, cfg.k_frame))
     g_sd, g_sr, g_rd = plan.snrs  # fading: S-D, then S-R_i, then R-D_i

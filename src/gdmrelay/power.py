@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 from gdmrelay.analysis import relay_epsilon
-from gdmrelay.detectors import relay_reliability
+from gdmrelay.detectors import EPSILON_FLOOR, relay_reliability
 from gdmrelay.modulation import PowerAllocation
 
 __all__ = ["PowerSolution", "optimize_power", "feasibility_diagnostic"]
@@ -62,15 +62,15 @@ def feasibility_diagnostic(solution: PowerSolution, m: int, l_block: int,
 
     Returns log((1-eps*)(M-1)/eps*) / (2 * z_LM^2 * gamma_sd) with
     z_LM = sin(pi/M) * sqrt(2*L*p_s / (L + 2*sqrt(L-1))) and eps* the relay
-    error rate at the optimal powers.  Larger is safer; the optimum is
-    formally justified only in the limit of a strong S-R link, so small
-    values trigger a warning rather than an error.
+    error rate at the optimal powers, floored as the detectors floor it.  Larger
+    is safer; the optimum is formally justified only in the limit of a strong
+    S-R link, so small values trigger a warning rather than an error.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     if not (0 < gamma_sr_bar < math.inf and 0 < gamma_sd < math.inf):
         raise ValueError("SNRs must be finite and > 0")
-    eps = relay_epsilon(solution.as_allocation(), l_block, gamma_sr_bar, m)
+    eps = max(relay_epsilon(solution.as_allocation(), l_block, gamma_sr_bar, m), EPSILON_FLOOR)
     z2 = math.sin(math.pi / m) ** 2 * (
         2.0 * l_block * solution.p_s / (l_block + 2.0 * math.sqrt(l_block - 1.0))
     )

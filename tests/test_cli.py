@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -99,6 +100,22 @@ class TestOptimize:
     def test_feasibility_diagnostic_line(self, capsys):
         main(["optimize", "--L", "8", "--gamma-sr", "1e6", "--gamma-sd", "1"])
         assert "feasibility ratio" in capsys.readouterr().out
+
+    def test_strong_relay_link_gives_finite_ratio(self, capsys):
+        # the relay error rate rounds to 0 here; it is floored before the log
+        assert main(["optimize", "--L", "4", "--gamma-sr", "1e17", "--gamma-sd", "1"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("feasibility ratio = ")
+        assert math.isfinite(float(line.split()[3]))
+
+    @pytest.mark.parametrize("flag", ["--gamma-sr", "--gamma-sd"])
+    def test_one_snr_alone_exits_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--L", "8", flag, "10"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--gamma-sr" in err and "--gamma-sd" in err
 
 
 class TestComplexity:
@@ -244,6 +261,12 @@ class TestReproduce:
         assert rc == 0
         assert (tmp_path / "fig4a_opcounts.dat").exists()
         assert "analytic data written" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("figure", ["fig4a", "fig5b"])
+    def test_opcount_figure_without_out_dir_says_nothing_written(self, figure, capsys):
+        assert main(["reproduce", "--figure", figure]) == 0
+        assert capsys.readouterr().out == (
+            f"{figure}: analytic data not written: no --out-dir given\n")
 
     def test_simulated_figure_prints_each_curve(self, tmp_path, capsys, monkeypatch):
         from gdmrelay import harness

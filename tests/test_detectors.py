@@ -206,6 +206,24 @@ class TestCoherentBaseline:
         assert coherent_baseline_detect(
             y_sd, [y_rd], 3.0 * h, [3.0 * h], [0.49], a) == 1
 
+    def test_is_the_branch_floor_on_coherent_pairs(self):
+        # (y, h) pairs with scale = amplitude and eta the bare reliability term of
+        # the clamped rate; eps = 0 and eps >= 1/2 are clamped into (0, 1/2)
+        rng = substream(108, 0)
+        for _ in range(600):
+            m, n = int(rng.integers(2, 9)), int(rng.integers(0, 4))
+            a = make_alphabet(m)
+            amp = float(rng.uniform(0.3, 2.0))
+            h = [complex(*rng.standard_normal(2)) for _ in range(n + 1)]
+            y = [amp * g * a.point(int(rng.integers(1, m + 1)))
+                 + 0.5 * complex(*rng.standard_normal(2)) for g in h]
+            eps = [float(rng.choice([0.0, 0.5, 0.6, rng.uniform(1e-4, 0.2)])) for _ in range(n)]
+            etas = [math.log((1 - e) * (m - 1) / e) for e in map(clamp_epsilon, eps)]
+            ctx = DetectionContext(y_sd_pair=(y[0], h[0]), y_rd_pairs=tuple(zip(y[1:], h[1:])),
+                                   scale=amp, etas=tuple(etas))
+            assert coherent_baseline_detect(y[0], y[1:], h[0], h[1:], eps, a,
+                                            amp) == oracle_branch_floor(ctx, a)
+
 
 class TestOperationCounts:
     # closed-form table rows: (m, n) -> (adds, mults, max/min, exp/log)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gdmrelay import harness
+from gdmrelay import analysis, harness
 from gdmrelay.channel import complex_normal, substream
 from gdmrelay.harness import (
     BATCH_FRAMES,
@@ -122,6 +122,21 @@ class TestRunFrame:
         cfg = small_cfg(snr_grid_db=(-30.0,), sr_offset_db=60.0, rd_offset_db=60.0)
         err = self.run(cfg, 1)
         assert err.mean() < 0.5  # relay branch keeps the frame mostly intact
+
+
+class TestPointPlan:
+    @pytest.mark.parametrize("k_frame, l_block", [(15, 1), (31, 4), (511, 256)])
+    def test_thresholds_are_the_closed_form_eta(self, k_frame, l_block):
+        # the simulated destination and the closed forms share one eta per pair type
+        cfg = small_cfg(n_relays=2, k_frame=k_frame, l_block=l_block)
+        pa, epsilons = cfg.power_allocation(), (1e-3, 0.2)
+        plan = harness._point_plan(cfg, 10.0, epsilons)
+        assert plan.etas.shape == (2, k_frame)
+        for i, eps in enumerate(epsilons):
+            for k in range(k_frame):  # pair k detects symbol k + 1, a reference at block heads
+                rho_t = pa.rho_r if (k + 1) % l_block == 0 else pa.rho_n
+                want = analysis.eta_threshold(eps, cfg.m, rho_t, pa.rho_r)
+                assert plan.etas[i, k] == pytest.approx(want, rel=1e-12)
 
 
 class TestReceive:

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from gdmrelay import power
+from gdmrelay.detectors import EPSILON_FLOOR, relay_reliability
 from gdmrelay.power import FEASIBILITY_WARN_RATIO, feasibility_diagnostic, optimize_power
 
 
@@ -82,6 +84,14 @@ class TestFeasibility:
             r1 = feasibility_diagnostic(s, 4, 8, 1e4, 1.0)
             r2 = feasibility_diagnostic(s, 4, 8, 1e4, 10.0)
         assert r1 == pytest.approx(10 * r2, rel=1e-9)
+
+    def test_zero_relay_error_rate_is_floored(self, monkeypatch):
+        # relay_epsilon rounds to 0.0 on a strong S-R link (1e17); the ratio
+        # then uses the detectors' floor instead of dividing by zero
+        monkeypatch.setattr(power, "relay_epsilon", lambda *args: 0.0)
+        ratio = feasibility_diagnostic(optimize_power(4), 4, 4, 1e17, 1.0)
+        z2 = math.sin(math.pi / 4) ** 2 * 8.0 / (4.0 + 2.0 * math.sqrt(3.0))
+        assert ratio == pytest.approx(relay_reliability(EPSILON_FLOOR, 4) / (2.0 * z2), rel=1e-12)
 
     @pytest.mark.parametrize("snrs", [(math.inf, 10.0), (10.0, math.inf), (math.nan, 10.0)])
     def test_rejects_non_finite_snr(self, snrs):
