@@ -66,8 +66,9 @@ def coherent_mpsk_rayleigh_ser(gamma_bar: float, m: int) -> float:
     if m < 2:
         raise ValueError("m must be >= 2")
     g = gamma_bar * math.sin(math.pi / m) ** 2
-    r = math.sqrt(g / (1.0 + g))
-    return (m - 1) / m - r * (0.5 + math.atan(r / math.tan(math.pi / m)) / math.pi)
+    r, c = math.sqrt(g / (1.0 + g)), 1.0 / math.tan(math.pi / m)
+    d = 1.0 / ((1.0 + g) * (1.0 + r))  # 1 - r, without the cancellation
+    return d * (0.5 + math.atan(r * c) / math.pi) + math.atan(d * c / (1.0 + r * c * c)) / math.pi
 
 
 def relay_epsilon(power: PowerAllocation, l_block: int, gamma_sr_bar: float,

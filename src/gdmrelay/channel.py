@@ -57,6 +57,8 @@ def complex_normal(rng: np.random.Generator, var, size=None, out=None,
     scale = np.sqrt(np.asarray(var) / 2.0)
     if out is None:
         out = np.empty(() if size is None else size, complex)
+    elif size is not None and out.shape != np.broadcast_to(0, size).shape:
+        raise ValueError(f"size {size} differs from out.shape {out.shape}")
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     flat = out.reshape(-1)  # a view of out

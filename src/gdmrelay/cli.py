@@ -195,7 +195,7 @@ def _cmd_optimize(args) -> int:
     if sol.degenerate:
         print("note: L=1 has no normal symbols; allocation is degenerate")
     if ratio is not None:
-        print(f"feasibility ratio = {ratio:.3f} "
+        print(f"feasibility ratio = {ratio:.6g} "
               f"(warn below {power.FEASIBILITY_WARN_RATIO:g})")
     return 0
 

@@ -293,9 +293,10 @@ def coherent_baseline_detect(y_sd, y_rd, h_sd, h_rd, epsilons, alphabet: PskAlph
 #
 # Every kernel takes an optional workspace ``ws`` (see `buffer`) and writes
 # all its arrays into it, the returned indices included, so the next call
-# overwrites them; without one every array is fresh.  The harness passes its
-# per-thread workspace: made fresh on every call, these arrays raise the minor
-# page faults of a `dm-relays` benchmark pass fivefold (6.6k to 34k).
+# overwrites them; without one every array is fresh.  Kernels share a name
+# where shapes agree (pld uses the relay kernel's "r" and "top").  The harness
+# passes its per-thread workspace: made fresh on every call, these arrays raise
+# the minor page faults of a `dm-relays` benchmark pass fivefold (6.6k to 34k).
 #
 # Correlation form.  The points have one modulus (PSK, or the coherent
 # plan's sqrt(p_s) * points), so with r = y1 * conj(y2)
@@ -328,7 +329,7 @@ def _correlation(y1, y2, weight, points, ws, name) -> np.ndarray:
     r *= y1
     r *= weight
     out = buffer(ws, name, (len(points), *r.shape))
-    xy = np.stack([points.real, points.imag], axis=-1)
+    xy = np.ascontiguousarray(points, complex).view(np.float64).reshape(-1, 2)
     np.matmul(xy, r.view(np.float64).reshape(-1, 2).T, out=out.reshape(len(points), -1))
     return out
 
@@ -406,24 +407,25 @@ def pld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, scale, etas, points,
                      ws=None) -> np.ndarray:
     """Champion tournament of `pld_detect` in index order.
 
-    The champion stays on Lambda = 0, so ties go to the lowest index.
+    The champion stays on Lambda = 0, so ties go to the lowest index.  Its own
+    buffers are ``r_links`` and ``term``; x_champ - x_q goes in ``r``, Lambda in ``top``.
     """
     shape = np.shape(y_sd1)
     r = buffer(ws, "r_links", (len(y_rd1) + 1, *shape), complex)
-    champ, row = (buffer(ws, name, shape, np.int64) for name in ("index", "row"))
-    diff, prod, term = (buffer(ws, name, shape, complex) for name in ("diff", "prod", "term"))
-    clipped, lose = buffer(ws, "clipped", shape), buffer(ws, "hit", shape, bool)
+    champ, lose = buffer(ws, "index", shape, np.int64), buffer(ws, "hit", shape, bool)
+    diff, term = (buffer(ws, name, shape, complex) for name in ("r", "term"))
+    lam, limits = buffer(ws, "top", shape), [(-eta / 2, eta / 2) for eta in etas]
     for r_i, y1, y2 in zip(r, [y_sd1, *y_rd1], [y_sd2, *y_rd2]):
         np.conjugate(y1, out=r_i)
         r_i *= y2
         r_i *= scale
-    champ.fill(1)
-    for q in range(2, len(points) + 1):
-        np.take(points, np.subtract(champ, 1, out=row), out=diff, mode="clip")
-        diff -= points[q - 1]
-        lam = np.multiply(r[0], diff, out=prod).real  # Lambda accumulates in prod.real
-        for r_i, eta in zip(r[1:], etas):
-            half = eta / 2
-            lam += np.clip(np.multiply(r_i, diff, out=term).real, -half, half, out=clipped)
+    champ.fill(0)  # 0-based until the return
+    for q in range(1, len(points)):
+        np.take(points, champ, out=diff, mode="clip")
+        diff -= points[q]
+        np.copyto(lam, np.multiply(r[0], diff, out=term).real)
+        for r_i, (lo, hi) in zip(r[1:], limits):
+            t = np.multiply(r_i, diff, out=term).real
+            lam += np.clip(t, lo, hi, out=t)
         np.copyto(champ, q, where=np.less(lam, 0, out=lose))
-    return champ
+    return np.add(champ, 1, out=champ)

@@ -299,7 +299,7 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
     step = _block_frames(cfg.k_frame)
     scratch = buffer(ws, "scratch", (step * shape[1],))
     # noise[0] is S-D, noise[2i + 1] S-R_i and noise[2i + 2] R-D_i; relay-only ends with S-R_1
-    noise = [complex_normal(rng, 1.0, shape, out=buffer(ws, ("noise", j), shape, complex),
+    noise = [complex_normal(rng, 1.0, out=buffer(ws, ("noise", j), shape, complex),
                             scratch=scratch) for j in range(2 if relay_only else 2 * n + 1)]
 
     forced = {"genie-all": n, "genie-r": cfg.genie_r}.get(cfg.relay_mode, 0)

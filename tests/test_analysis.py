@@ -136,11 +136,12 @@ class TestQFunction:
 
 class TestCoherentSer:
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
-    @pytest.mark.parametrize("snr_db", [0, 10, 20, 30])
+    @pytest.mark.parametrize("snr_db", [0, 10, 20, 30, 120, 150, 170])
     def test_against_craig_quadrature(self, m, snr_db):
         g = 10.0 ** (snr_db / 10.0)
+        # abs=0: approx's default abs=1e-12 would pass any value near 0 at 120 dB and up
         assert coherent_mpsk_rayleigh_ser(g, m) == pytest.approx(
-            quad_mpsk_rayleigh_ser(g, m), rel=1e-9)
+            quad_mpsk_rayleigh_ser(g, m), rel=1e-9, abs=0)
 
     def test_bpsk_closed_form(self):
         # binary case reduces to (1 - sqrt(g/(1+g)))/2

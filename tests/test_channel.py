@@ -59,6 +59,18 @@ class TestRandomStreams:
         with pytest.raises(ValueError, match="C-contiguous"):
             complex_normal(substream(3, 1), 1.0, (4, 3), out=np.empty((3, 4), complex).T)
 
+    @pytest.mark.parametrize("size, shape", [((5, 7), (3,)), (3, (3, 1)), ((), (1,))])
+    def test_rejects_size_other_than_out_shape(self, size, shape):
+        rng = substream(3, 1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="differs from out.shape"):
+            complex_normal(rng, 1.0, size, out=np.empty(shape, complex))
+        assert rng.bit_generator.state == state  # nothing drawn
+
+    def test_size_equal_to_out_shape_is_accepted(self):
+        out = np.empty(3, complex)
+        assert complex_normal(substream(3, 1), 1.0, 3, out=out).shape == (3,)
+
 
 class TestEffectiveSnr:
     def test_equal_powers_halve(self):

@@ -102,11 +102,17 @@ class TestOptimize:
         assert "feasibility ratio" in capsys.readouterr().out
 
     def test_strong_relay_link_gives_finite_ratio(self, capsys):
-        # the relay error rate rounds to 0 here; it is floored before the log
+        # the relay error rate is below EPSILON_FLOOR here; it is floored before the log
         assert main(["optimize", "--L", "4", "--gamma-sr", "1e17", "--gamma-sd", "1"]) == 0
         line = capsys.readouterr().out.splitlines()[-1]
         assert line.startswith("feasibility ratio = ")
         assert math.isfinite(float(line.split()[3]))
+
+    def test_huge_ratio_prints_in_bounded_width(self, capsys):
+        assert main(["optimize", "--L", "4", "--gamma-sr", "1e300", "--gamma-sd", "1e-300"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("feasibility ratio = ") and len(line) < 80
+        assert float(line.split()[3]) > 1e290
 
     @pytest.mark.parametrize("flag", ["--gamma-sr", "--gamma-sd"])
     def test_one_snr_alone_exits_2(self, flag, capsys):

@@ -526,9 +526,10 @@ class TestWorkspace:
     @pytest.mark.parametrize("kw, bound_mib", [
         (dict(k_frame=511, l_block=256, snr_grid_db=(28.0,)), 11),  # gdm-long
         (dict(n_relays=3, k_frame=127, snr_grid_db=(18.0,)), 7),  # dm-relays
-    ], ids=["gdm-long", "dm-relays"])
+        (dict(n_relays=3, k_frame=127, snr_grid_db=(18.0,), detector="pld"), 7.25),
+    ], ids=["gdm-long", "dm-relays", "dm-relays-pld"])
     def test_footprint(self, kw, bound_mib):
-        # one batch of a benchmark workload's nmld sweep, from an empty workspace:
+        # one batch of a benchmark workload's nmld (or pld) sweep, from an empty workspace:
         # besides the 2N + 1 noise arrays, a batch holds only block-sized arrays
         cfg = small_cfg(**kw)
 
