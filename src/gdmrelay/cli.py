@@ -78,7 +78,7 @@ def _add_simulate_args(p: argparse.ArgumentParser):
                    help="dB grid, start:step:stop or comma list")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker cap; does not affect results")
+                   help="batch threads; results do not depend on it")
     p.add_argument("--errors-min", type=int, default=100)
     p.add_argument("--frames-max", type=int, default=100000)
     p.add_argument("--relay-mode", default="realistic", choices=harness.RELAY_MODES)

@@ -20,8 +20,8 @@ noise slice it consumes, and a relay's S-R arrays are dropped before the
 destination decides.  A genie relay forwards the source's samples.
 
 Each point runs in batches of ``BATCH_FRAMES`` frames (the last one may be
-shorter), in waves of ``workers`` batches: a wave runs in the process pool
-when there is one, and the next wave starts only when the stop rule still
+shorter), in waves of ``workers`` batches: with ``workers > 1`` a wave runs in
+a thread pool, and the next wave starts only when the stop rule still
 holds.  Batch counts are accumulated in batch-index order and the point stops
 at the first batch that reaches ``min_errors``, mid-wave if need be.
 
@@ -32,8 +32,8 @@ cost page faults when made fresh (five times the minor faults per `dm-relays`
 benchmark pass).  Encoded samples are plain arrays.  Each named buffer keeps
 its last shape and is made anew when a batch needs another (`detectors.buffer`);
 nothing reads a buffer before writing it.  `run_ser_experiment` drops the
-workspace on return; pool workers fill their own.  Nothing returned aliases
-it: a batch's error mask is fresh.
+workspace on return; each pool thread fills its own, which is freed when the
+thread exits at the pool's shutdown.  Nothing returned aliases a workspace.
 
 Reproducibility contract: random draws are keyed by
 (master_seed, point_index, batch_index) with a fixed frame-batch size, so
@@ -204,7 +204,7 @@ def _point_epsilons(cfg: ExperimentConfig, snr_db: float) -> list[float]:
 
 @dataclass(frozen=True)
 class _PointPlan:
-    """Invariants of one SNR point, built once and shipped to every batch.
+    """Invariants of one SNR point, built once and shared by every batch.
 
     ``frame`` is None for the coherent reference, whose ``points`` carry the
     amplitude sqrt(p_s); ``snrs`` are `ExperimentConfig.link_snrs`, ``gains``
@@ -363,18 +363,18 @@ def _run_point(cfg: ExperimentConfig, point_index: int, mapper) -> PointResult:
 def run_ser_experiment(cfg: ExperimentConfig) -> SimResult:
     """Run the full SNR sweep with the configured stop rule."""
     t0 = time.perf_counter()
-    pool = None
     try:
-        if cfg.workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
+        if cfg.workers == 1:
+            points = tuple(_run_point(cfg, i, map) for i in range(len(cfg.snr_grid_db)))
+        else:
+            from concurrent.futures import ThreadPoolExecutor
 
-            # the pool forks all its workers at once; results do not depend on their count
-            pool = ProcessPoolExecutor(max_workers=min(cfg.workers, os.cpu_count() or 1))
-        mapper = map if pool is None else pool.map
-        points = tuple(_run_point(cfg, i, mapper) for i in range(len(cfg.snr_grid_db)))
+            # one thread per queued batch, at most one per usable CPU; results do not depend on it
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            with ThreadPoolExecutor(max_workers=min(cfg.workers, cpus)) as pool:
+                points = tuple(_run_point(cfg, i, pool.map) for i in range(len(cfg.snr_grid_db)))
     finally:
-        if pool is not None:
-            pool.shutdown()
         vars(_SLOT).clear()
     elapsed = time.perf_counter() - t0
     ops = None

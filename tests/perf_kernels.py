@@ -9,8 +9,10 @@ the bytes the batch workspace holds and the traced peak bytes of one batch
 started from an empty workspace, so allocator churn and footprint show.
 The cold-start benchmark times ``import gdmrelay`` in fresh interpreters and
 records the modules loaded and the peak RSS in ``extra_info``, so an
-import-time regression shows.  The file name keeps it
-out of the default test run; run it with
+import-time regression shows.  The two-worker benchmark times a
+`dm-relays`-shaped nmld sweep on two batch threads and records the peak RSS
+of this process and of its children, so a pool that forks shows.  The file
+name keeps it out of the default test run; run it with
 
     python3 -m pytest tests/perf_kernels.py --benchmark-only
 
@@ -125,3 +127,13 @@ def test_cold_start(benchmark):
     modules, maxrss_kb = json.loads(out.stdout)
     benchmark.extra_info["modules"] = modules
     benchmark.extra_info["peak_rss_mb"] = maxrss_kb / 1024.0
+
+
+def test_two_worker_sweep(benchmark):
+    cfg = harness.ExperimentConfig(n_relays=N, m=M, k_frame=K, l_block=1, detector="nmld",
+                                   snr_grid_db=(10.0, 14.0, 18.0, 22.0, 26.0),
+                                   min_errors=10**12, max_frames=4 * FRAMES, workers=2)
+    result = benchmark(harness.run_ser_experiment, cfg)
+    assert [p.symbols for p in result.points] == [4 * FRAMES * K] * 5
+    for who, name in ((resource.RUSAGE_SELF, "self"), (resource.RUSAGE_CHILDREN, "children")):
+        benchmark.extra_info[f"peak_rss_mb_{name}"] = resource.getrusage(who).ru_maxrss / 1024.0

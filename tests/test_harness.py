@@ -187,8 +187,24 @@ class TestRunExperiment:
         assert [p.symbols for p in a.points] == [2 * BATCH_FRAMES * 15, 4 * BATCH_FRAMES * 15,
                                                  (6 * BATCH_FRAMES + 100) * 15]
 
+    @pytest.mark.parametrize("kw", [
+        dict(), dict(detector="amld"), dict(detector="pld"), dict(detector="coherent"),
+        dict(detector="relay-only"), dict(relay_mode="genie-all"),
+        dict(relay_mode="genie-r", genie_r=1), dict(k_frame=31, l_block=16),
+        dict(detector="amld", l_block=4, sr_offset_db=3.0, rd_offset_db=-2.0),
+    ], ids=["nmld", "amld", "pld", "coherent", "relay-only", "genie-all", "genie-r1", "L16",
+            "amld-L4-offsets"])
+    def test_worker_count_does_not_change_any_branch(self, kw):
+        # waves of 3 batches with mid-wave stops, on every branch of the batch pipeline
+        cfg = small_cfg(n_relays=2, snr_grid_db=(5.0, 10.0, 20.0), min_errors=900,
+                        max_frames=6 * BATCH_FRAMES + 100, **kw)
+        serial = run_ser_experiment(cfg)
+        pooled = run_ser_experiment(dataclasses.replace(cfg, workers=3))
+        assert pooled.points == serial.points
+
     def test_pool_size_capped_at_cpu_count(self, monkeypatch):
-        # the pool forks all its workers at once; a stand-in records the size and maps serially
+        # a thread pool starts one thread per queued batch, up to its size, so the size is
+        # capped at the CPUs the process may run on; a stand-in records it and maps serially
         import concurrent.futures
 
         sizes = []
@@ -199,19 +215,48 @@ class TestRunExperiment:
 
             map = staticmethod(map)
 
-            def shutdown(self):
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
                 pass
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         kw = dict(max_frames=3 * BATCH_FRAMES, min_errors=10**9)
         want = run_ser_experiment(small_cfg(**kw)).points
+        assert sizes == []  # one worker runs in the calling thread, with no pool
         for workers, size in [(5000, 2), (2, 2)]:
             assert run_ser_experiment(small_cfg(workers=workers, **kw)).points == want
             assert sizes.pop() == size
+        # pinned to one CPU of two, as under `taskset -c 0`
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0})
+        run_ser_experiment(small_cfg(workers=2, **kw))
+        assert sizes.pop() == 1
+        # no affinity source and no CPU count
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
         run_ser_experiment(small_cfg(workers=3, **kw))
         assert sizes == [1]
+
+    def test_pooled_run_leaves_nothing_behind(self):
+        # a dm-relays-shaped batch's workspace holds several MiB, so one that
+        # outlived its pool thread would show in the traced size
+        cfg = small_cfg(n_relays=3, k_frame=127, snr_grid_db=(18.0,), min_errors=10**9,
+                        max_frames=4 * BATCH_FRAMES)
+        run_ser_experiment(cfg)  # fill lazy caches before measuring
+        threads = threading.active_count()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_ser_experiment(dataclasses.replace(cfg, workers=2))
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert threading.active_count() == threads
+        assert not vars(harness._SLOT)
+        assert abs(after - before) < 2**20
 
     def test_stop_rule_respects_frame_cap(self):
         r = run_ser_experiment(small_cfg(snr_grid_db=(40.0,), min_errors=10**9,

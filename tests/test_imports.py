@@ -1,8 +1,8 @@
-"""A Monte Carlo run imports neither scipy.special nor the process pool.
+"""A serial Monte Carlo run imports neither scipy.special nor a pool module.
 
-The checks run in a fresh interpreter, because this test process has loaded
-both modules already.  One script runs every stage and reports, after each,
-which of the two modules are loaded.
+The checks run in a fresh interpreter, because this test process may have
+loaded these modules already.  One script runs every stage and reports, after
+each, which of them are loaded.
 """
 
 import json
@@ -22,7 +22,7 @@ CFG = dict(n_relays=1, m=4, k_frame=15, l_block=1, detector="nmld",
 SCRIPT = f"""
 import contextlib, io, json, sys
 
-LAZY = ("scipy.special", "concurrent.futures.process")
+LAZY = ("scipy.special", "concurrent.futures.thread", "concurrent.futures.process")
 loaded = {{}}
 
 def note(stage):
@@ -70,8 +70,9 @@ def test_closed_forms_load_scipy_special_on_first_call(fresh):
                                             rel=1e-14)
 
 
-def test_process_pool_matches_serial(fresh):
-    assert "concurrent.futures.process" in fresh["loaded"]["workers=2"]
+def test_thread_pool_matches_serial(fresh):
+    assert "concurrent.futures.thread" in fresh["loaded"]["workers=2"]
+    assert "concurrent.futures.process" not in fresh["loaded"]["workers=2"]
     assert fresh["pooled"] == fresh["serial"]
     here = harness.run_ser_experiment(harness.ExperimentConfig(**CFG))
     assert fresh["serial"] == [list(p.__dict__.values()) for p in here.points]
