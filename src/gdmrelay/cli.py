@@ -20,7 +20,7 @@ import sys
 
 from gdmrelay import analysis, harness, power
 from gdmrelay.channel import db_to_linear
-from gdmrelay.detectors import EPSILON_FLOOR, count_ops
+from gdmrelay.detectors import EPSILON_FLOOR, OP_COUNTS, count_ops
 from gdmrelay.harness import ExperimentConfig, run_ser_experiment
 
 SNR_GRID_MAX_POINTS = 10_000
@@ -78,7 +78,7 @@ def _add_simulate_args(p: argparse.ArgumentParser):
                    help="dB grid, start:step:stop or comma list")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
-                   help="batch threads; results do not depend on it")
+                   help="batch threads; results do not depend on it; slower on small batches")
     p.add_argument("--errors-min", type=int, default=100)
     p.add_argument("--frames-max", type=int, default=100000)
     p.add_argument("--relay-mode", default="realistic", choices=harness.RELAY_MODES)
@@ -173,8 +173,8 @@ def _cmd_analyze(args) -> int:
         g = db_to_linear(snr_db)
         eps = analysis.relay_epsilon(pa, args.L, g, args.mod)
         eta = analysis.eta_threshold(max(eps, EPSILON_FLOOR), args.mod, pa.rho_r, pa.rho_r)
-        pc = analysis.ser_avg_error_free(args.relays, args.mod, eps, eta, g)
-        pe = analysis.ser_avg_erroneous(args.relays, args.mod, eps, eta, g)
+        pc = analysis.ser_avg_error_free(args.relays, args.mod, eps, eta, pa.p_s * g)
+        pe = analysis.ser_avg_erroneous(args.relays, args.mod, eps, eta, pa.p_s * g)
         total = min(pc + pe, 1.0)
         rows.append(f"{snr_db:g} {eps:.6e} {pc:.6e} {pe:.6e} {total:.6e}")
     print("\n".join(rows))
@@ -201,7 +201,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    kinds = ("amld", "pld", "nmld") if args.detector == "all" else (args.detector,)
+    kinds = tuple(OP_COUNTS) if args.detector == "all" else (args.detector,)
     counts = {kind: count_ops(kind, args.mod, args.relays) for kind in kinds}  # all before printing
     print("detector additions multiplications max_min exp_log total")
     for kind, c in counts.items():
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mod", type=int, default=8)
     p.add_argument("--relays", type=int, default=12)
     p.add_argument("--detector", default="all",
-                   choices=("all", "amld", "pld", "nmld"))
+                   choices=("all", *OP_COUNTS))
     p.set_defaults(func=_cmd_complexity)
 
     p = sub.add_parser("diversity", help="diversity orders")

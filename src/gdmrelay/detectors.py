@@ -40,6 +40,7 @@ __all__ = [
     "coherent_baseline_detect",
     "relay_reliability",
     "count_ops",
+    "OP_COUNTS",
     "relay_detect_batch",
     "nmld_detect_batch",
     "amld_detect_batch",
@@ -52,7 +53,8 @@ EPSILON_CEIL = 0.5 - 1e-12
 
 
 def clamp_epsilon(epsilon: float) -> float:
-    """Keep a relay error rate strictly inside (0, 1/2) so eta stays finite."""
+    """Keep a relay error rate strictly inside (0, 1/2): the floor keeps eta
+    finite, the ceiling keeps epsilon in `analysis.eta_threshold`'s domain."""
     return min(max(float(epsilon), EPSILON_FLOOR), EPSILON_CEIL)
 
 
@@ -97,25 +99,27 @@ class OpCount:
         return self.additions + self.multiplications + self.max_min_ops + self.exp_log_ops
 
 
+# The costed destination detectors, in report order: kind -> the per-symbol
+# (additions, multiplications, max/min, exp/log) counts at (M, N).
+OP_COUNTS = {
+    "amld": lambda m, n: (m * (9 * m * n - n + 7), m * (11 * m * n + 2 * n + 11), m - 1, n * m),
+    "pld": lambda m, n: ((m - 1) * (18 * n + 17), (m - 1) * (23 * n + 23),
+                         (m - 1) * (2 * n + 1), 0),
+    "nmld": lambda m, n: (m * (11 * n + 8), m * (11 * n + 11), (m - 1) * (n + 1) + n * m, 0),
+}
+
+
 def count_ops(kind: str, m: int, n: int) -> OpCount:
-    """Closed-form per-symbol operation counts for each detector.
+    """Closed-form per-symbol operation counts of a detector in ``OP_COUNTS``.
 
     AMLD totals to (20M^2+2M)N + 19M - 1 and the low-complexity detector
     (branch min-floor form) to (24M-1)N + 20M - 1.
     """
     if m < 2 or n < 1:
         raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
-    kind = kind.lower()
-    if kind == "amld":
-        return OpCount(m * (9 * m * n - n + 7), m * (11 * m * n + 2 * n + 11),
-                       m - 1, n * m)
-    if kind == "pld":
-        return OpCount((m - 1) * (18 * n + 17), (m - 1) * (23 * n + 23),
-                       (m - 1) * (2 * n + 1), 0)
-    if kind == "nmld":
-        return OpCount(m * (11 * n + 8), m * (11 * n + 11),
-                       (m - 1) * (n + 1) + n * m, 0)
-    raise ValueError(f"unknown detector kind {kind!r}")
+    if kind.lower() not in OP_COUNTS:
+        raise ValueError(f"unknown detector kind {kind!r}")
+    return OpCount(*OP_COUNTS[kind.lower()](m, n))
 
 
 class OpCounter:
@@ -174,43 +178,29 @@ def relay_detect(y_pair, scale: float, alphabet: PskAlphabet) -> int:
 
 
 def nmld_detect(ctx: DetectionContext, alphabet: PskAlphabet,
-                counter: OpCounter | None = None,
-                keep_exclusion: bool = False) -> int:
+                counter: OpCounter | None = None) -> int:
     """Low-complexity destination detection with per-branch min floors.
 
     Precomputes per-branch per-symbol distances F(n, x_t), caps each branch
     contribution at C_n = min_t F(n, x_t) + eta_n, and minimizes the direct
-    link distance plus the capped branch sums.  ``keep_exclusion`` retains
-    the x_r != x_s constraint inside the branch floor (decision-equivalent
-    for eta > 0; kept for the equivalence test).
+    link distance plus the capped branch sums.  Each step tallies its events
+    in ``counter`` (a fresh `OpCounter` when none is given).
     """
-    m = alphabet.m
-    n = ctx.n_relays
+    counter = OpCounter() if counter is None else counter
+    m, n = alphabet.m, ctx.n_relays
     f = np.empty((n, m))
     for i, pair in enumerate(ctx.y_rd_pairs):
         f[i] = _pair_distances(pair[0], pair[1], ctx.scale, alphabet.points)
-    if counter is not None:
-        counter.branch_distance(n * m)
-        counter.min_op(n * (m - 1))
-    d_sd = _pair_distances(ctx.y_sd_pair[0], ctx.y_sd_pair[1], ctx.scale, alphabet.points)
-    if counter is not None:
-        counter.direct_distance(m)
-    totals = d_sd.copy()
-    if keep_exclusion:
-        for t in range(m):
-            for i in range(n):
-                others = np.delete(f[i], t)
-                totals[t] += min(f[i, t], others.min() + ctx.etas[i])
-    else:
-        floors = f.min(axis=1) + np.asarray(ctx.etas)
-        for i in range(n):
-            capped = np.minimum(f[i], floors[i])
-            totals += capped
-            if counter is not None:
-                counter.min_op(m)
-                counter.accumulate(m)
-    if counter is not None:
-        counter.min_op(m - 1)
+    counter.branch_distance(n * m)
+    counter.min_op(n * (m - 1))
+    totals = _pair_distances(ctx.y_sd_pair[0], ctx.y_sd_pair[1], ctx.scale, alphabet.points)
+    counter.direct_distance(m)
+    floors = f.min(axis=1) + np.asarray(ctx.etas)
+    for i in range(n):
+        totals += np.minimum(f[i], floors[i])
+        counter.min_op(m)
+        counter.accumulate(m)
+    counter.min_op(m - 1)
     return int(np.argmin(totals)) + 1
 
 

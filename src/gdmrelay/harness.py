@@ -58,7 +58,7 @@ import numpy as np
 
 from gdmrelay import analysis, detectors
 from gdmrelay.channel import complex_normal, db_to_linear, substream
-from gdmrelay.detectors import buffer, clamp_epsilon, count_ops, relay_reliability
+from gdmrelay.detectors import OP_COUNTS, buffer, clamp_epsilon, count_ops, relay_reliability
 from gdmrelay.modulation import (GdmFrameConfig, PowerAllocation, _encode_samples,
                                  _sample_gains, make_alphabet)
 from gdmrelay.power import optimize_power
@@ -75,7 +75,7 @@ __all__ = [
     "FIGURE_PRESETS",
 ]
 
-DETECTOR_KINDS = ("nmld", "amld", "pld", "coherent", "relay-only")
+DETECTOR_KINDS = (*OP_COUNTS, "coherent", "relay-only")
 RELAY_MODES = ("realistic", "genie-all", "genie-r")
 BATCH_FRAMES = 256  # fixed rng keying unit; do not change between runs
 BLOCK_SYMBOLS = 1 << 14  # samples per frame block of a batch's compute phase (`_block_frames`)
@@ -121,6 +121,8 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.rho_n is not None and self.l_block == 1:
+            raise ValueError(f"L=1 has no normal symbols: rho_n must not be set, got {self.rho_n}")
         if self.detector == "coherent" and self.l_block != 1:
             raise ValueError("the coherent reference has no block structure: "
                              f"l_block must be 1, got {self.l_block}")
@@ -378,7 +380,7 @@ def run_ser_experiment(cfg: ExperimentConfig) -> SimResult:
         vars(_SLOT).clear()
     elapsed = time.perf_counter() - t0
     ops = None
-    if cfg.detector in ("nmld", "amld", "pld") and cfg.n_relays >= 1:
+    if cfg.detector in OP_COUNTS and cfg.n_relays >= 1:
         ops = count_ops(cfg.detector, cfg.m, cfg.n_relays).total
     return SimResult(points=points, config=cfg, elapsed_s=elapsed, ops_per_symbol=ops)
 
@@ -524,9 +526,9 @@ def reproduce_figure(figure_id: str, scale: str = "desk", out_dir=None,
     if figure_id in OPCOUNT_FIGURES:
         if out is not None:
             with open(out / f"{figure_id}_opcounts.dat", "w") as fh:
-                fh.write("# x amld pld nmld (total ops per symbol)\n")
+                fh.write(f"# x {' '.join(OP_COUNTS)} (total ops per symbol)\n")
                 for x, m, n in OPCOUNT_FIGURES[figure_id]:
-                    totals = (count_ops(kind, m, n).total for kind in ("amld", "pld", "nmld"))
+                    totals = (count_ops(kind, m, n).total for kind in OP_COUNTS)
                     fh.write(f"{x} {' '.join(map(str, totals))}\n")
         return {}
 

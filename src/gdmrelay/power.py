@@ -26,10 +26,17 @@ class PowerSolution:
 
     rho_r_star: float
     rho_n_star: float
-    ratio: float
     l_block: int
     p_s: float
-    degenerate: bool = False
+
+    @property
+    def ratio(self) -> float:
+        return self.rho_r_star / self.rho_n_star
+
+    @property
+    def degenerate(self) -> bool:
+        """L=1 has no normal symbols."""
+        return self.l_block == 1
 
     def as_allocation(self) -> PowerAllocation:
         return PowerAllocation(rho_r=self.rho_r_star, rho_n=self.rho_n_star,
@@ -40,20 +47,18 @@ def optimize_power(l_block: int, p_s: float = 1.0) -> PowerSolution:
     """Closed-form power optimum for block length L and average power p_s.
 
     L=1 has no normal symbols; the degenerate classical-DM allocation
-    (all power p_s) is returned with a flag so sweeps over L stay total.
+    (all power p_s, flagged ``degenerate``) is returned so sweeps over L stay total.
     """
     if l_block < 1:
         raise ValueError(f"l_block must be >= 1, got {l_block}")
     if not 0 < p_s < math.inf:
         raise ValueError("p_s must be finite and > 0")
     if l_block == 1:
-        return PowerSolution(rho_r_star=p_s, rho_n_star=p_s, ratio=1.0,
-                             l_block=1, p_s=p_s, degenerate=True)
+        return PowerSolution(rho_r_star=p_s, rho_n_star=p_s, l_block=1, p_s=p_s)
     root = math.sqrt(l_block - 1.0)
     rho_r = l_block * p_s / (1.0 + root)
     rho_n = l_block * p_s / (l_block - 1.0 + root)
-    return PowerSolution(rho_r_star=rho_r, rho_n_star=rho_n, ratio=rho_r / rho_n,
-                         l_block=l_block, p_s=p_s)
+    return PowerSolution(rho_r_star=rho_r, rho_n_star=rho_n, l_block=l_block, p_s=p_s)
 
 
 def feasibility_diagnostic(solution: PowerSolution, m: int, l_block: int,

@@ -74,6 +74,16 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "coherent reference has no block structure" in err
 
+    @pytest.mark.parametrize("rho_n", ["5", "0.5", "nan"])
+    def test_normal_power_at_block_length_one_returns_3(self, rho_n, capsys):
+        # L=1 has no normal symbols, so there is no normal-symbol power to set
+        rc = main(["simulate", "--L", "1", "--rho-n", rho_n, "--K", "15", "--snr", "10",
+                   "--frames-max", "10"])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error:")
+        assert "L=1" in err
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--relays", "0", "--snr", "10"],
         ["analyze", "--mod", "1", "--snr", "10"],
@@ -138,6 +148,23 @@ class TestComplexity:
         assert "pld 1631 2093 175 0 3899" in out
         assert "saving" not in out
 
+    def test_detectors_follow_op_count_table(self, tmp_path, capsys):
+        from gdmrelay import harness
+        from gdmrelay.detectors import OP_COUNTS, count_ops
+
+        kinds = list(OP_COUNTS)
+        with pytest.raises(SystemExit):
+            main(["complexity", "--help"])
+        assert "{all," + ",".join(kinds) + "}" in capsys.readouterr().out
+        assert main(["complexity"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:1 + len(kinds)]
+        assert [row.split()[0] for row in rows] == kinds
+        assert main(["reproduce", "--figure", "fig4a", "--out-dir", str(tmp_path)]) == 0
+        header, first = (tmp_path / "fig4a_opcounts.dat").read_text().splitlines()[:2]
+        assert header == f"# x {' '.join(kinds)} (total ops per symbol)"
+        assert first.split()[1:] == [str(count_ops(kind, 2, 1).total) for kind in kinds]
+        assert harness.DETECTOR_KINDS == (*kinds, "coherent", "relay-only")
+
 
 class TestDiversity:
     def test_overall(self, capsys):
@@ -183,6 +210,20 @@ class TestAnalyze:
         plain = capsys.readouterr().out
         assert main(["analyze", "--sr-offset-db", "0", "--snr", "10,20"]) == 0
         assert capsys.readouterr().out == plain
+
+    def test_power_scales_the_receive_snr(self, capsys):
+        # power p_s at grid SNR g is unit power at p_s * g, in every column
+        grid = [0.0, 5.0, 15.0, 30.0]
+        assert main(["analyze", "--relays", "2", "--power", "2",
+                     "--snr", ",".join(map(str, grid))]) == 0
+        doubled = capsys.readouterr().out.splitlines()[1:]
+        shifted = ",".join(repr(v + 10 * math.log10(2)) for v in grid)
+        assert main(["analyze", "--relays", "2", "--snr", shifted]) == 0
+        unit = capsys.readouterr().out.splitlines()[1:]
+        assert len(doubled) == len(unit) == len(grid)
+        for a, b in zip(doubled, unit):
+            assert [float(v) for v in a.split()[1:]] == pytest.approx(
+                [float(v) for v in b.split()[1:]], rel=1e-12)
 
     def test_emits_grid_rows(self, capsys):
         assert main(["analyze", "--relays", "2", "--snr", "10,20"]) == 0

@@ -53,6 +53,30 @@ def oracle_branch_floor(ctx, alphabet):
     return best
 
 
+def oracle_branch_floor_exclusion(ctx, alphabet):
+    """Brute-force branch floor with the wrong relay symbol kept apart.
+
+    For each candidate x_s, the relay branch contributes
+    min{F_n(x_s), min_{x_r != x_s} F_n(x_r) + eta_n}: a wrong relay decided
+    some symbol other than x_s.  Written without sharing code with the
+    implementation.
+    """
+    m = alphabet.m
+    best, best_val = None, math.inf
+    for s in range(1, m + 1):
+        xs = alphabet.point(s)
+        y1, y2 = ctx.y_sd_pair
+        val = abs(y1 - ctx.scale * y2 * xs) ** 2
+        for (r1, r2), eta in zip(ctx.y_rd_pairs, ctx.etas):
+            f_s = abs(r1 - ctx.scale * r2 * xs) ** 2
+            f_wrong = min(abs(r1 - ctx.scale * r2 * alphabet.point(r)) ** 2
+                          for r in range(1, m + 1) if r != s)
+            val += min(f_s, f_wrong + eta)
+        if val < best_val:
+            best, best_val = s, val
+    return best
+
+
 def oracle_averaged_ml(ctx, epsilons, alphabet):
     """Probability-domain averaged-ML decision (no log-space tricks).
 
@@ -125,12 +149,11 @@ class TestBranchFloorDetector:
             assert nmld_detect(ctx, alphabet) == oracle_branch_floor(ctx, alphabet)
 
     def test_exclusion_variant_equivalent(self):
-        # keeping x_t != x_s inside the floor cannot change the decision
+        # keeping x_r != x_s inside the floor cannot change the decision for eta > 0
         rng = substream(101, 0)
         for _ in range(300):
             ctx, _, alphabet = random_context(rng, 4, 2)
-            assert nmld_detect(ctx, alphabet) == nmld_detect(
-                ctx, alphabet, keep_exclusion=True)
+            assert nmld_detect(ctx, alphabet) == oracle_branch_floor_exclusion(ctx, alphabet)
 
     def test_large_eta_ignores_floor(self):
         # with a huge threshold the detector reduces to joint min-distance
