@@ -9,9 +9,9 @@ and one R-D SNR (`harness.ExperimentConfig.link_snrs`).
 
 The module provides `db_to_linear`, `substream` (the keyed random streams),
 `complex_normal` (the one fading and noise draw) and `effective_receive_snr`.
-A simulation draws fading and noise only in the draw phase of
-`harness._simulate_batch` (chunked draws are the same stream); y = h*u + n is
-formed in `harness._PointPlan.receive`.
+A simulation draws fading and noise only in `harness._simulate_batch`, in a
+fixed order (chunked draws are the same stream); y = h*u + n is formed in
+`harness._PointPlan.receive`.
 """
 
 from __future__ import annotations

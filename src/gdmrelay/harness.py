@@ -7,17 +7,18 @@ accumulating symbol error counts until a stop rule is met.
 One pipeline (`_simulate_batch`) serves the differential schemes and the
 coherent reference.  A plan built once per SNR point holds the invariants;
 the two scheme-specific steps branch on it: the encoder (`_encode_batch`) and
-the (y1, y2) pairs the batch detectors compare (`_PointPlan.receive`),
+the (y1, y2) pairs the batch detectors compare (`_PointPlan.pairs`),
 (y[k1], y[k2]) for differential and (y, h) for coherent.
 
-A batch runs in two phases: it draws every random number it consumes (the
-info symbols, the fading, then each link's noise; nothing else draws them),
-then takes its frames in blocks of `_block_frames`, each from encoding to
-decision, so the arrays a block streams stay cache-sized.  Chunked draws (the
-info symbols into the smallest unsigned dtype for M, the noise through a
-block-sized scratch) are the same stream.  `_PointPlan.receive` forms y in the
-noise slice it consumes, and a relay's S-R arrays are dropped before the
-destination decides.  A genie relay forwards the source's samples.
+A batch draws the info symbols, the fading, then each link's noise (S-D, then
+S-R_i and R-D_i per relay; nothing else draws them), and consumes each noise
+as soon as it is drawn: `_PointPlan.receive` forms y in it.  Relay i decides
+every frame block before its R-D_i noise is drawn into its S-R_i buffer (a
+genie forwards the source's samples); the first relay's stage also forms the
+S-D y and keeps the source's phases for the later ones.  The destination then
+decides.  Blocks of `_block_frames` frames keep the arrays a block streams
+cache-sized.  Chunked draws (the info symbols into the smallest unsigned dtype
+for M, the noise through a block-sized scratch) are the same stream.
 
 Each point runs in batches of ``BATCH_FRAMES`` frames (the last one may be
 shorter), in waves of ``workers`` batches: with ``workers > 1`` a wave runs in
@@ -26,14 +27,15 @@ holds.  Batch counts are accumulated in batch-index order and the point stops
 at the first batch that reaches ``min_errors``, mid-wave if need be.
 
 Workspace rule: one workspace per thread, a dict of named buffers, holds only
-the batch-shaped noise, which outlives the blocks (its only batch-sized
-buffers), the block-sized draw scratch and the detector kernels' arrays, which
-cost page faults when made fresh (five times the minor faults per `dm-relays`
-benchmark pass).  Encoded samples are plain arrays.  Each named buffer keeps
-its last shape and is made anew when a batch needs another (`detectors.buffer`);
-nothing reads a buffer before writing it.  `run_ser_experiment` drops the
-workspace on return; each pool thread fills its own, which is freed when the
-thread exits at the pool's shutdown.  Nothing returned aliases a workspace.
+the noise of the N + 1 links the destination receives (its only batch-sized
+buffers; relay-only draws S-D and S-R_1 into one), the block-sized draw
+scratch and the detector kernels' arrays, which cost page faults when made
+fresh (five times the minor faults per `dm-relays` benchmark pass).  Encoded
+samples are plain arrays.  Each named buffer keeps its last shape and is made
+anew when a batch needs another (`detectors.buffer`); nothing reads a buffer
+before writing it.  `run_ser_experiment` drops the workspace on return; each
+pool thread fills its own, which is freed when the thread exits at the pool's
+shutdown.  Nothing returned aliases a workspace.
 
 Reproducibility contract: random draws are keyed by
 (master_seed, point_index, batch_index) with a fixed frame-batch size, so
@@ -60,7 +62,7 @@ from gdmrelay import analysis, detectors
 from gdmrelay.channel import complex_normal, db_to_linear, substream
 from gdmrelay.detectors import OP_COUNTS, buffer, clamp_epsilon, count_ops, relay_reliability
 from gdmrelay.modulation import (GdmFrameConfig, PowerAllocation, _encode_samples,
-                                 _sample_gains, make_alphabet)
+                                 _phase_indices, _sample_gains, make_alphabet)
 from gdmrelay.power import optimize_power
 
 __all__ = [
@@ -223,16 +225,19 @@ class _PointPlan:
     epsilons: tuple
     etas: np.ndarray
 
-    def receive(self, h: np.ndarray, u: np.ndarray, noise: np.ndarray) -> tuple:
-        """Detector pairs of y = h*u + ``noise``: (y, h) when coherent, else
-        (y[k1], y[k2]), views of y but for the k2 of L > 1.  y is formed in
-        ``noise``, which it consumes."""
+    def receive(self, h: np.ndarray, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """y = h*u + ``noise``, formed in ``noise``, which it consumes."""
         noise += h[:, None] * u  # the same bits as h*u + noise
+        return noise
+
+    def pairs(self, y: np.ndarray, h: np.ndarray) -> tuple:
+        """Detector pairs of y: (y, h) when coherent, else (y[k1], y[k2]), views
+        of y but for the k2 of L > 1."""
         if self.frame is None:
-            return noise, h[:, None]
+            return y, h[:, None]
         if self.frame.l_block == 1:  # k1 = 1..K, k2 = k1 - 1
-            return noise[:, 1:], noise[:, :-1]
-        return noise[:, 1:], noise[:, self.k2]
+            return y[:, 1:], y[:, :-1]
+        return y[:, 1:], y[:, self.k2]
 
 
 def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPlan:
@@ -258,11 +263,19 @@ def _block_frames(k_frame: int) -> int:
     return min(BATCH_FRAMES & -BATCH_FRAMES, 1 << fit.bit_length() - 1)
 
 
-def _encode_batch(plan: _PointPlan, info: np.ndarray) -> np.ndarray:
-    """Transmitted samples of (F, K) info indices."""
+def _encode_batch(plan: _PointPlan, info: np.ndarray, phase=None) -> np.ndarray:
+    """Transmitted samples of (F, K) info indices; ``phase`` gets their alphabet indices."""
+    p = info - 1 if plan.frame is None else _phase_indices(info, plan.frame)
+    if phase is not None:
+        phase[...] = p
+    return _samples(plan, p)
+
+
+def _samples(plan: _PointPlan, phase: np.ndarray) -> np.ndarray:
+    """Transmitted samples of the alphabet indices ``phase``."""
     if plan.frame is None:
-        return plan.points[info - 1]
-    return _encode_samples(info, plan.frame, plan.points, plan.gains)
+        return plan.points.take(phase)
+    return _encode_samples(phase, plan.points, plan.gains)
 
 
 def _draw_info(rng: np.random.Generator, m: int, shape: tuple) -> np.ndarray:
@@ -273,16 +286,6 @@ def _draw_info(rng: np.random.Generator, m: int, shape: tuple) -> np.ndarray:
         chunk = info[lo:lo + BLOCK_SYMBOLS]
         chunk[:] = rng.integers(1, m + 1, size=chunk.size)
     return info.reshape(shape)
-
-
-def _relay_pair(plan: _PointPlan, u_s, h_sr, h_rd, sr_noise, rd_noise, genie: bool, ws):
-    """The R-D pair of one relay in a frame block, which decides and re-encodes or,
-    as a genie, forwards ``u_s``; all else it makes is dropped on return."""
-    if not genie:
-        det = detectors.relay_detect_batch(*plan.receive(h_sr, u_s, sr_noise), plan.scale,
-                                           plan.points, ws)
-        u_s = _encode_batch(plan, det)
-    return plan.receive(h_rd, u_s, rd_noise)
 
 
 def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
@@ -299,31 +302,51 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
     relay_only = cfg.detector == "relay-only"
     shape = (n_frames, cfg.k_frame + (plan.frame is not None))  # the shape of u
     step = _block_frames(cfg.k_frame)
+    blocks = [slice(lo, lo + step) for lo in range(0, n_frames, step)]
     scratch = buffer(ws, "scratch", (step * shape[1],))
-    # noise[0] is S-D, noise[2i + 1] S-R_i and noise[2i + 2] R-D_i; relay-only ends with S-R_1
-    noise = [complex_normal(rng, 1.0, out=buffer(ws, ("noise", j), shape, complex),
-                            scratch=scratch) for j in range(2 if relay_only else 2 * n + 1)]
+    # y[0] is S-D and y[i + 1] S-R_i, then R-D_i; relay-only draws S-D and S-R_1 into one
+    y = [buffer(ws, ("noise", 0 if relay_only else j), shape, complex) for j in range(n + 1)]
+    phase = np.empty(shape, info.dtype)  # u_s's alphabet indices, kept by the first pass
+    det = np.empty(info.shape, info.dtype)  # one relay's decisions, then the destination's
 
+    def source(b, first: bool) -> np.ndarray:  # u_s of block b; the first pass forms the S-D y
+        if not first:
+            return _samples(plan, phase[b])
+        u_s = _encode_batch(plan, info[b], phase[b])
+        if not relay_only:
+            plan.receive(h_sd[b], u_s, y[0][b])
+        return u_s
+
+    complex_normal(rng, 1.0, out=y[0], scratch=scratch)
     forced = {"genie-all": n, "genie-r": cfg.genie_r}.get(cfg.relay_mode, 0)
-    err = np.empty(info.shape, bool)
-    for b in (slice(lo, lo + step) for lo in range(0, n_frames, step)):
-        u_s = _encode_batch(plan, info[b])
-        if relay_only:  # relay 1 decides, genie mode or not
-            det = detectors.relay_detect_batch(*plan.receive(h_sr[0][b], u_s, noise[1][b]),
-                                               plan.scale, plan.points, ws)
-        else:
-            rd = [_relay_pair(plan, u_s, h_sr[i][b], h_rd[i][b], noise[2 * i + 1][b],
-                              noise[2 * i + 2][b], i < forced, ws) for i in range(n)]
-            args = (*plan.receive(h_sd[b], u_s, noise[0][b]),
-                    [p[0] for p in rd], [p[1] for p in rd], plan.scale)
-            if cfg.detector == "amld":
-                det = detectors.amld_detect_batch(*args, plan.epsilons, plan.points, ws)
-            elif cfg.detector == "pld":
-                det = detectors.pld_detect_batch(*args, plan.etas, plan.points, ws)
-            else:  # nmld, and coherent: the same branch-floor rule on (y, h) pairs
-                det = detectors.nmld_detect_batch(*args, plan.etas, plan.points, ws)
-        np.not_equal(det, info[b], out=err[b])
-    return err
+    for i in range(n):  # relay i decides every block before the R-D_i draw takes its buffer
+        decides = relay_only or i >= forced  # relay-only: relay 1 decides, genie mode or not
+        complex_normal(rng, 1.0, out=y[i + 1], scratch=scratch)  # S-R_i
+        for b in blocks if decides or i == 0 else ():
+            u_s = source(b, i == 0)
+            if decides:
+                det[b] = detectors.relay_detect_batch(
+                    *plan.pairs(plan.receive(h_sr[i][b], u_s, y[i + 1][b]), h_sr[i][b]),
+                    plan.scale, plan.points, ws)
+        if relay_only:
+            return det != info
+        complex_normal(rng, 1.0, out=y[i + 1], scratch=scratch)  # R-D_i
+        for b in blocks:  # a genie forwards u_s
+            u_r = _encode_batch(plan, det[b]) if decides else source(b, False)
+            plan.receive(h_rd[i][b], u_r, y[i + 1][b])
+
+    for b in blocks:
+        if n == 0:
+            source(b, True)
+        sd, *rd = (plan.pairs(y_j[b], h_j[b]) for y_j, h_j in zip(y, (h_sd, *h_rd)))
+        args = (*sd, [p[0] for p in rd], [p[1] for p in rd], plan.scale)
+        if cfg.detector == "amld":
+            det[b] = detectors.amld_detect_batch(*args, plan.epsilons, plan.points, ws)
+        elif cfg.detector == "pld":
+            det[b] = detectors.pld_detect_batch(*args, plan.etas, plan.points, ws)
+        else:  # nmld, and coherent: the same branch-floor rule on (y, h) pairs
+            det[b] = detectors.nmld_detect_batch(*args, plan.etas, plan.points, ws)
+    return det != info
 
 
 def _simulate_batch_noncoherent(cfg, snr_db, epsilons, rng, n_frames):

@@ -168,7 +168,8 @@ def gdm_encode(info, cfg: GdmFrameConfig) -> EncodedFrame:
         raise ValueError(f"expected {cfg.k_frame} info symbols, got shape {info.shape}")
     if info.min(initial=cfg.m) < 1 or info.max(initial=1) > cfg.m:
         raise ValueError("info indices must lie in [1, M]")
-    u = _encode_samples(info, cfg, make_alphabet(cfg.m).points, _sample_gains(cfg))
+    u = _encode_samples(_phase_indices(info, cfg), make_alphabet(cfg.m).points,
+                        _sample_gains(cfg))
     return EncodedFrame(u=u, info=info.copy(), ref_mask=cfg.ref_mask())
 
 
@@ -177,11 +178,10 @@ def _sample_gains(cfg: GdmFrameConfig) -> np.ndarray:
     return np.sqrt(np.where(cfg.ref_mask(), cfg.power.rho_r, cfg.power.rho_n))
 
 
-def _encode_samples(info: np.ndarray, cfg: GdmFrameConfig, points: np.ndarray,
-                    gains: np.ndarray) -> np.ndarray:
-    """The samples of `gdm_encode` from unchecked (..., K) integer indices, the
-    alphabet ``points`` and the `_sample_gains` of ``cfg``."""
-    u = points[_phase_indices(info, cfg)]
+def _encode_samples(phase: np.ndarray, points: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """The samples of `gdm_encode` from (..., K+1) `_phase_indices`, the alphabet
+    ``points`` and the frame's `_sample_gains`."""
+    u = points.take(phase)
     u *= gains
     return u
 

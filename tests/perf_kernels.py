@@ -48,7 +48,7 @@ def batch():
     for _ in range(N + 1):
         u = harness._encode_batch(plan, rng.integers(1, M + 1, size=(FRAMES, K)))
         h = gain * harness.complex_normal(rng, 1.0, FRAMES)
-        pairs.append(plan.receive(h, u, harness.complex_normal(rng, 1.0, u.shape)))
+        pairs.append(plan.pairs(plan.receive(h, u, harness.complex_normal(rng, 1.0, u.shape)), h))
     args = (*pairs[0], [p[0] for p in pairs[1:]], [p[1] for p in pairs[1:]], plan.scale)
     return plan, pairs, args
 

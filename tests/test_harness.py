@@ -148,7 +148,7 @@ class TestReceive:
             cfg = small_cfg(**kw)
             plan = harness._point_plan(cfg, 10.0)
             u = harness._encode_batch(plan, rng.integers(1, cfg.m + 1, size=(3, cfg.k_frame)))
-            y1, y2 = plan.receive(h, u, np.zeros(u.shape, complex))
+            y1, y2 = plan.pairs(plan.receive(h, u, np.zeros(u.shape, complex)), h)
             hu = h[:, None] * u
             if plan.frame is None:
                 np.testing.assert_array_equal(y1, hu)
@@ -503,6 +503,8 @@ class TestWorkspace:
         (small_cfg(n_relays=3, m=8, l_block=4, relay_mode="genie-r", genie_r=1), 40),
         (small_cfg(n_relays=3, m=8, l_block=4, relay_mode="genie-r", genie_r=1), 13),
         (small_cfg(n_relays=1, m=8, l_block=4), 40),
+        (small_cfg(n_relays=2, m=2, relay_mode="genie-all"), 13),
+        (small_cfg(n_relays=3, m=8, detector="amld"), 40),
     ]
 
     def test_sequence_matches_fresh_threads(self):
@@ -564,18 +566,33 @@ class TestWorkspace:
         np.testing.assert_array_equal(info, want)
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
+    def test_batch_holds_one_noise_buffer_per_received_link(self, monkeypatch):
+        # N + 1 (S-D and R-D_i; S-R_i shares R-D_i's), 1 for relay-only (S-R_1 takes S-D's);
+        # blocks of 8 frames, so no kernel array has a batch's 13 or 40 frames
+        monkeypatch.setattr(harness, "BLOCK_SYMBOLS", 8 * (15 + 1))
+        for i, (cfg, f) in enumerate(self.SEQUENCE):
+            def held():
+                _batch(cfg, f, i)
+                shape = (f, cfg.k_frame + (cfg.detector != "coherent"))  # the shape of u
+                return sum(a.shape == shape and a.dtype == complex
+                           for a in harness._SLOT.ws.values())
+
+            want = 1 if cfg.detector == "relay-only" else cfg.n_relays + 1
+            assert _in_fresh_thread(held) == want, cfg
+
     def test_block_frames(self):
         assert [harness._block_frames(k) for k in (15, 63, 127, 255, 511, 16383, 40000)] == [
             256, 256, 128, 64, 32, 1, 1]
 
     @pytest.mark.parametrize("kw, bound_mib", [
-        (dict(k_frame=511, l_block=256, snr_grid_db=(28.0,)), 11),  # gdm-long
-        (dict(n_relays=3, k_frame=127, snr_grid_db=(18.0,)), 7),  # dm-relays
-        (dict(n_relays=3, k_frame=127, snr_grid_db=(18.0,), detector="pld"), 7.25),
-    ], ids=["gdm-long", "dm-relays", "dm-relays-pld"])
+        (dict(k_frame=511, l_block=256, snr_grid_db=(28.0,)), 9),  # gdm-long
+        (dict(k_frame=511, detector="coherent", snr_grid_db=(28.0,)), 7.5),
+        (dict(n_relays=3, k_frame=127, snr_grid_db=(18.0,)), 5.25),  # dm-relays
+        (dict(n_relays=3, k_frame=127, snr_grid_db=(18.0,), detector="pld"), 6),
+    ], ids=["gdm-long", "gdm-long-coherent", "dm-relays", "dm-relays-pld"])
     def test_footprint(self, kw, bound_mib):
-        # one batch of a benchmark workload's nmld (or pld) sweep, from an empty workspace:
-        # besides the 2N + 1 noise arrays, a batch holds only block-sized arrays
+        # one batch of a benchmark workload's sweep, from an empty workspace: besides
+        # the N + 1 noise arrays, a batch holds only block-sized and compact arrays
         cfg = small_cfg(**kw)
 
         def peak():
