@@ -61,8 +61,8 @@ def q_function(x):
 
 def coherent_mpsk_rayleigh_ser(gamma_bar: float, m: int) -> float:
     """Average SER of coherent M-PSK over Rayleigh fading at mean SNR gamma_bar."""
-    if not gamma_bar > 0:
-        raise ValueError("gamma_bar must be > 0")
+    if not 0 < gamma_bar < math.inf:
+        raise ValueError("gamma_bar must be finite and > 0")
     if m < 2:
         raise ValueError("m must be >= 2")
     g = gamma_bar * math.sin(math.pi / m) ** 2

@@ -185,8 +185,7 @@ def _cmd_optimize(args) -> int:
     sol = power.optimize_power(args.L, args.power)
     ratio = None  # checked before anything is printed
     if args.gamma_sr is not None:  # main() checks that both are given
-        ratio = power.feasibility_diagnostic(
-            sol, args.mod, args.L, args.gamma_sr, args.gamma_sd)
+        ratio = power.feasibility_diagnostic(sol, args.mod, args.gamma_sr, args.gamma_sd)
     print(f"L={sol.l_block} p_s={sol.p_s:g}")
     print(f"rho_r* = {sol.rho_r_star:.9f}")
     print(f"rho_n* = {sol.rho_n_star:.9f}")

@@ -300,13 +300,14 @@ def coherent_baseline_detect(y_sd, y_rd, h_sd, h_rd, epsilons, alphabet: PskAlph
 
 
 def buffer(ws: dict | None, name, shape: tuple, dtype=float) -> np.ndarray:
-    """Buffer ``name`` of the workspace ``ws``, made anew when missing or when
-    its shape or dtype differs; its contents are whatever was last written.
-    Without a workspace it is a fresh array."""
+    """Buffer ``name`` of the workspace ``ws``, made anew (the old one dropped
+    first) when missing or when its shape or dtype differs; its contents are
+    whatever was last written.  Without a workspace it is a fresh array."""
     if ws is None:
         return np.empty(shape, dtype)
     buf = ws.get(name)
     if buf is None or buf.shape != shape or buf.dtype != dtype:
+        ws[name] = buf = None
         buf = ws[name] = np.empty(shape, dtype)
     return buf
 

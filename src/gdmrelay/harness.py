@@ -6,19 +6,21 @@ accumulating symbol error counts until a stop rule is met.
 
 One pipeline (`_simulate_batch`) serves the differential schemes and the
 coherent reference.  A plan built once per SNR point holds the invariants;
-the two scheme-specific steps branch on it: the encoder (`_encode_batch`) and
+the two scheme-specific steps branch on it: the encoder (`_phases`, `_samples`)
 the (y1, y2) pairs the batch detectors compare (`_PointPlan.pairs`),
 (y[k1], y[k2]) for differential and (y, h) for coherent.
 
-A batch draws the info symbols, the fading, then each link's noise (S-D, then
-S-R_i and R-D_i per relay; nothing else draws them), and consumes each noise
-as soon as it is drawn: `_PointPlan.receive` forms y in it.  Relay i decides
-every frame block before its R-D_i noise is drawn into its S-R_i buffer (a
-genie forwards the source's samples); the first relay's stage also forms the
-S-D y and keeps the source's phases for the later ones.  The destination then
-decides.  Blocks of `_block_frames` frames keep the arrays a block streams
-cache-sized.  Chunked draws (the info symbols into the smallest unsigned dtype
-for M, the noise through a block-sized scratch) are the same stream.
+A batch draws the info symbols and the fading, then runs one stage per link in
+draw order (S-D, then S-R_i and R-D_i per relay): it draws the link's noise
+(nothing else draws it) and, per frame block, makes the samples u sent on the
+link and forms y in the noise (`_PointPlan.receive` consumes both).  The S-D
+stage keeps the source's alphabet indices (`_phases`), from which each later
+stage makes the source's u (`_samples`).  Relay i decides every block before
+its R-D_i noise is drawn into its S-R_i buffer, and then re-encodes (a genie
+forwards the source's u).  The destination then decides.  Blocks of
+`_block_frames` frames keep the arrays a block streams cache-sized.  Chunked
+draws (the info symbols into the smallest unsigned dtype for M, the noise
+through a block-sized scratch) are the same stream.
 
 Each point runs in batches of ``BATCH_FRAMES`` frames (the last one may be
 shorter), in waves of ``workers`` batches: with ``workers > 1`` a wave runs in
@@ -31,11 +33,11 @@ the noise of the N + 1 links the destination receives (its only batch-sized
 buffers; relay-only draws S-D and S-R_1 into one), the block-sized draw
 scratch and the detector kernels' arrays, which cost page faults when made
 fresh (five times the minor faults per `dm-relays` benchmark pass).  Encoded
-samples are plain arrays.  Each named buffer keeps its last shape and is made
-anew when a batch needs another (`detectors.buffer`); nothing reads a buffer
-before writing it.  `run_ser_experiment` drops the workspace on return; each
-pool thread fills its own, which is freed when the thread exits at the pool's
-shutdown.  Nothing returned aliases a workspace.
+samples are plain arrays.  A named buffer keeps its last shape; when a batch
+needs another, `detectors.buffer` drops it and makes it anew.  Nothing reads a
+buffer before writing it.  `run_ser_experiment` drops the workspace on return;
+each pool thread fills its own, which is freed when the thread exits at the
+pool's shutdown.  Nothing returned aliases a workspace.
 
 Reproducibility contract: random draws are keyed by
 (master_seed, point_index, batch_index) with a fixed frame-batch size, so
@@ -226,8 +228,8 @@ class _PointPlan:
     etas: np.ndarray
 
     def receive(self, h: np.ndarray, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """y = h*u + ``noise``, formed in ``noise``, which it consumes."""
-        noise += h[:, None] * u  # the same bits as h*u + noise
+        """y = h*u + ``noise``, formed in ``noise``; it consumes u and ``noise``."""
+        noise += np.multiply(h[:, None], u, out=u)  # the same bits as h*u + noise
         return noise
 
     def pairs(self, y: np.ndarray, h: np.ndarray) -> tuple:
@@ -263,12 +265,14 @@ def _block_frames(k_frame: int) -> int:
     return min(BATCH_FRAMES & -BATCH_FRAMES, 1 << fit.bit_length() - 1)
 
 
-def _encode_batch(plan: _PointPlan, info: np.ndarray, phase=None) -> np.ndarray:
-    """Transmitted samples of (F, K) info indices; ``phase`` gets their alphabet indices."""
-    p = info - 1 if plan.frame is None else _phase_indices(info, plan.frame)
-    if phase is not None:
-        phase[...] = p
-    return _samples(plan, p)
+def _encode_batch(plan: _PointPlan, info: np.ndarray) -> np.ndarray:
+    """Transmitted samples of (F, K) info indices."""
+    return _samples(plan, _phases(plan, info))
+
+
+def _phases(plan: _PointPlan, info: np.ndarray) -> np.ndarray:
+    """Alphabet indices of the samples that carry (F, K) info indices."""
+    return info - 1 if plan.frame is None else _phase_indices(info, plan.frame)
 
 
 def _samples(plan: _PointPlan, phase: np.ndarray) -> np.ndarray:
@@ -306,38 +310,30 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
     scratch = buffer(ws, "scratch", (step * shape[1],))
     # y[0] is S-D and y[i + 1] S-R_i, then R-D_i; relay-only draws S-D and S-R_1 into one
     y = [buffer(ws, ("noise", 0 if relay_only else j), shape, complex) for j in range(n + 1)]
-    phase = np.empty(shape, info.dtype)  # u_s's alphabet indices, kept by the first pass
+    phase = np.empty(shape, info.dtype)  # u_s's alphabet indices; each stage remakes u_s
     det = np.empty(info.shape, info.dtype)  # one relay's decisions, then the destination's
 
-    def source(b, first: bool) -> np.ndarray:  # u_s of block b; the first pass forms the S-D y
-        if not first:
-            return _samples(plan, phase[b])
-        u_s = _encode_batch(plan, info[b], phase[b])
+    complex_normal(rng, 1.0, out=y[0], scratch=scratch)  # S-D
+    for b in blocks:
+        phase[b] = _phases(plan, info[b])
         if not relay_only:
-            plan.receive(h_sd[b], u_s, y[0][b])
-        return u_s
-
-    complex_normal(rng, 1.0, out=y[0], scratch=scratch)
+            plan.receive(h_sd[b], _samples(plan, phase[b]), y[0][b])
     forced = {"genie-all": n, "genie-r": cfg.genie_r}.get(cfg.relay_mode, 0)
     for i in range(n):  # relay i decides every block before the R-D_i draw takes its buffer
         decides = relay_only or i >= forced  # relay-only: relay 1 decides, genie mode or not
         complex_normal(rng, 1.0, out=y[i + 1], scratch=scratch)  # S-R_i
-        for b in blocks if decides or i == 0 else ():
-            u_s = source(b, i == 0)
-            if decides:
-                det[b] = detectors.relay_detect_batch(
-                    *plan.pairs(plan.receive(h_sr[i][b], u_s, y[i + 1][b]), h_sr[i][b]),
-                    plan.scale, plan.points, ws)
+        for b in blocks if decides else ():
+            y_sr = plan.receive(h_sr[i][b], _samples(plan, phase[b]), y[i + 1][b])
+            det[b] = detectors.relay_detect_batch(*plan.pairs(y_sr, h_sr[i][b]),
+                                                  plan.scale, plan.points, ws)
         if relay_only:
             return det != info
         complex_normal(rng, 1.0, out=y[i + 1], scratch=scratch)  # R-D_i
         for b in blocks:  # a genie forwards u_s
-            u_r = _encode_batch(plan, det[b]) if decides else source(b, False)
+            u_r = _encode_batch(plan, det[b]) if decides else _samples(plan, phase[b])
             plan.receive(h_rd[i][b], u_r, y[i + 1][b])
 
     for b in blocks:
-        if n == 0:
-            source(b, True)
         sd, *rd = (plan.pairs(y_j[b], h_j[b]) for y_j, h_j in zip(y, (h_sd, *h_rd)))
         args = (*sd, [p[0] for p in rd], [p[1] for p in rd], plan.scale)
         if cfg.detector == "amld":

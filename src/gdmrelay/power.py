@@ -61,24 +61,23 @@ def optimize_power(l_block: int, p_s: float = 1.0) -> PowerSolution:
     return PowerSolution(rho_r_star=rho_r, rho_n_star=rho_n, l_block=l_block, p_s=p_s)
 
 
-def feasibility_diagnostic(solution: PowerSolution, m: int, l_block: int,
-                           gamma_sr_bar: float, gamma_sd: float) -> float:
+def feasibility_diagnostic(solution: PowerSolution, m: int, gamma_sr_bar: float,
+                           gamma_sd: float) -> float:
     """Monitored ratio behind the power-optimum monotonicity argument.
 
     Returns log((1-eps*)(M-1)/eps*) / (2 * z_LM^2 * gamma_sd) with
     z_LM = sin(pi/M) * sqrt(2*L*p_s / (L + 2*sqrt(L-1))) and eps* the relay
-    error rate at the optimal powers, floored as the detectors floor it.  Larger
-    is safer; the optimum is formally justified only in the limit of a strong
-    S-R link, so small values trigger a warning rather than an error.
+    error rate at the optimal powers of the solution's L, floored as the
+    detectors floor it.  Larger is safer; the optimum is formally justified
+    only in the limit of a strong S-R link, so small values warn, not raise.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     if not (0 < gamma_sr_bar < math.inf and 0 < gamma_sd < math.inf):
         raise ValueError("SNRs must be finite and > 0")
-    eps = max(relay_epsilon(solution.as_allocation(), l_block, gamma_sr_bar, m), EPSILON_FLOOR)
-    z2 = math.sin(math.pi / m) ** 2 * (
-        2.0 * l_block * solution.p_s / (l_block + 2.0 * math.sqrt(l_block - 1.0))
-    )
+    l = solution.l_block
+    eps = max(relay_epsilon(solution.as_allocation(), l, gamma_sr_bar, m), EPSILON_FLOOR)
+    z2 = math.sin(math.pi / m) ** 2 * (2.0 * l * solution.p_s / (l + 2.0 * math.sqrt(l - 1.0)))
     ratio = relay_reliability(eps, m) / (2.0 * z2 * gamma_sd)
     if ratio < FEASIBILITY_WARN_RATIO:
         warnings.warn(

@@ -149,6 +149,13 @@ class TestCoherentSer:
         want = 0.5 * (1 - math.sqrt(g / (1 + g)))
         assert coherent_mpsk_rayleigh_ser(g, 2) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("g", [math.inf, math.nan, 0.0])
+    def test_rejects_non_finite_snr(self, g):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            coherent_mpsk_rayleigh_ser(g, 4)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            relay_epsilon(optimize_power(8).as_allocation(), 8, g, 4)
+
 
 class TestRelayEpsilon:
     def test_l1_is_reference_only(self):

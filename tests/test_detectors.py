@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gdmrelay.detectors import (
     OpCounter,
     amld_detect,
     amld_detect_batch,
+    buffer,
     clamp_epsilon,
     coherent_baseline_detect,
     count_ops,
@@ -522,6 +524,24 @@ class TestBatchProperty:
                     assert again[kind][i, j] == value, (kind, i, j)
                     if j % 2 == 0:
                         assert part[kind][i, j // 2] == value, (kind, i, j)
+
+
+class TestBuffer:
+    def test_remake_drops_the_old_array_first(self):
+        # a held 2 MiB buffer remade to another shape: the old array goes before
+        # the new one is made, so the traced peak does not rise by another 2 MiB
+        tracemalloc.start()
+        try:
+            ws = {}
+            buffer(ws, "b", (256, 512), complex)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            new = buffer(ws, "b", (512, 256), complex)
+            rise = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert ws["b"] is new and new.shape == (512, 256)
+        assert rise < 2**16
 
 
 class TestClampEpsilon:

@@ -148,8 +148,8 @@ class TestReceive:
             cfg = small_cfg(**kw)
             plan = harness._point_plan(cfg, 10.0)
             u = harness._encode_batch(plan, rng.integers(1, cfg.m + 1, size=(3, cfg.k_frame)))
+            hu = h[:, None] * u  # made first: receive consumes u
             y1, y2 = plan.pairs(plan.receive(h, u, np.zeros(u.shape, complex)), h)
-            hu = h[:, None] * u
             if plan.frame is None:
                 np.testing.assert_array_equal(y1, hu)
                 np.testing.assert_array_equal(y2, h[:, None])
@@ -489,7 +489,7 @@ class TestWorkspace:
     """The per-thread batch workspace changes no result: every mask equals the
     same batch run with an empty workspace, and no mask aliases it."""
 
-    # (config, frames): N = 0..3, M in {2, 8}, L in {1, 4}, every scheme kind and
+    # (config, frames): N = 0..3, M in {2, 4, 8}, L in {1, 4}, every scheme kind and
     # mode, repeated shapes (reuse) and changed shapes (replacement) in turn
     SEQUENCE = [
         (small_cfg(n_relays=0, m=2), 40),
@@ -505,6 +505,8 @@ class TestWorkspace:
         (small_cfg(n_relays=1, m=8, l_block=4), 40),
         (small_cfg(n_relays=2, m=2, relay_mode="genie-all"), 13),
         (small_cfg(n_relays=3, m=8, detector="amld"), 40),
+        (small_cfg(n_relays=0, detector="coherent"), 13),
+        (small_cfg(n_relays=2, detector="relay-only", relay_mode="genie-all"), 13),
     ]
 
     def test_sequence_matches_fresh_threads(self):

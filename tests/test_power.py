@@ -67,13 +67,13 @@ class TestFeasibility:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ratio = feasibility_diagnostic(s, 4, 8, gamma_sr_bar=1e6, gamma_sd=1.0)
+            ratio = feasibility_diagnostic(s, 4, gamma_sr_bar=1e6, gamma_sd=1.0)
         assert ratio > FEASIBILITY_WARN_RATIO
 
     def test_weak_relay_link_warns(self):
         s = optimize_power(8)
         with pytest.warns(UserWarning):
-            feasibility_diagnostic(s, 4, 8, gamma_sr_bar=2.0, gamma_sd=1000.0)
+            feasibility_diagnostic(s, 4, gamma_sr_bar=2.0, gamma_sd=1000.0)
 
     def test_ratio_decreases_with_sd_snr(self):
         s = optimize_power(8)
@@ -81,19 +81,19 @@ class TestFeasibility:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            r1 = feasibility_diagnostic(s, 4, 8, 1e4, 1.0)
-            r2 = feasibility_diagnostic(s, 4, 8, 1e4, 10.0)
+            r1 = feasibility_diagnostic(s, 4, 1e4, 1.0)
+            r2 = feasibility_diagnostic(s, 4, 1e4, 10.0)
         assert r1 == pytest.approx(10 * r2, rel=1e-9)
 
     def test_zero_relay_error_rate_is_floored(self, monkeypatch):
         # relay_epsilon rounds to 0.0 on a strong S-R link (1e17); the ratio
         # then uses the detectors' floor instead of dividing by zero
         monkeypatch.setattr(power, "relay_epsilon", lambda *args: 0.0)
-        ratio = feasibility_diagnostic(optimize_power(4), 4, 4, 1e17, 1.0)
+        ratio = feasibility_diagnostic(optimize_power(4), 4, 1e17, 1.0)
         z2 = math.sin(math.pi / 4) ** 2 * 8.0 / (4.0 + 2.0 * math.sqrt(3.0))
         assert ratio == pytest.approx(relay_reliability(EPSILON_FLOOR, 4) / (2.0 * z2), rel=1e-12)
 
     @pytest.mark.parametrize("snrs", [(math.inf, 10.0), (10.0, math.inf), (math.nan, 10.0)])
     def test_rejects_non_finite_snr(self, snrs):
         with pytest.raises(ValueError, match="finite"):
-            feasibility_diagnostic(optimize_power(8), 4, 8, *snrs)
+            feasibility_diagnostic(optimize_power(8), 4, *snrs)
