@@ -108,6 +108,8 @@ def ser_conditional_single(gamma_sd: float, gamma_rd: float, epsilon: float,
     """
     if symbol_type not in ("R", "N"):
         raise ValueError("symbol_type must be 'R' or 'N'")
+    if not (gamma_sd >= 0 and gamma_rd >= 0):
+        raise ValueError("instantaneous SNRs must be >= 0")
     rho_t = power.rho_r if symbol_type == "R" else power.rho_n
     phi = effective_receive_snr(rho_t, power.rho_r, 1.0)
     ratio = rho_t / power.rho_r
@@ -157,6 +159,8 @@ def ser_avg_error_free(n_relays: int, m: int, epsilon: float, eta: float,
         raise ValueError("n_relays must be >= 1")
     if gamma_sd_bar is None:
         gamma_sd_bar = gamma_bar
+    if not (0 < gamma_bar < math.inf and 0 < gamma_sd_bar < math.inf):
+        raise ValueError("gamma_bar and gamma_sd_bar must be finite and > 0")
     eps = clamp_epsilon(epsilon)
     s2 = math.sin(math.pi / m) ** 2
     total = 0.0
@@ -188,6 +192,8 @@ def ser_avg_erroneous(n_relays: int, m: int, epsilon: float, eta: float,
     """
     if n_relays < 1:
         raise ValueError("n_relays must be >= 1")
+    if not 0 < gamma_sd_bar < math.inf:
+        raise ValueError("gamma_sd_bar must be finite and > 0")
     eps = clamp_epsilon(epsilon)
     total = 0.0
     for n_err in range(1, n_relays + 1):

@@ -279,7 +279,8 @@ def coherent_baseline_detect(y_sd, y_rd, h_sd, h_rd, epsilons, alphabet: PskAlph
 # (..., K) for the direct link and (N, ..., K) stacked over relays; `scale`
 # and `etas` broadcast over the trailing symbol axis (they vary with the
 # RS/NS symbol type).  For coherent pairs y_*2 is the fading coefficient,
-# shape (..., 1).  Returns 1-based index arrays of shape (..., K).
+# shape (..., 1).  Returns 1-based index arrays of shape (..., K), in the
+# smallest unsigned dtype that holds M (the harness's info dtype).
 #
 # Every kernel takes an optional workspace ``ws`` (see `buffer`) and writes
 # all its arrays into it, the returned indices included, so the next call
@@ -326,9 +327,10 @@ def _correlation(y1, y2, weight, points, ws, name) -> np.ndarray:
 
 
 def _first_argmax(scores, ws) -> np.ndarray:
-    """1-based index of the first maximum along the leading alphabet axis."""
+    """1-based index of the first maximum along the leading alphabet axis, in
+    the smallest unsigned dtype that holds M."""
     top = np.max(scores, axis=0, out=buffer(ws, "top", scores.shape[1:]))
-    index = buffer(ws, "index", top.shape, np.int64)
+    index = buffer(ws, "index", top.shape, np.min_scalar_type(len(scores)))
     index.fill(1)
     below = buffer(ws, "below", top.shape, bool)  # no maximum at any index <= t yet
     below.fill(True)
@@ -403,7 +405,8 @@ def pld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, scale, etas, points,
     """
     shape = np.shape(y_sd1)
     r = buffer(ws, "r_links", (len(y_rd1) + 1, *shape), complex)
-    champ, lose = buffer(ws, "index", shape, np.int64), buffer(ws, "hit", shape, bool)
+    champ = buffer(ws, "index", shape, np.min_scalar_type(len(points)))
+    lose = buffer(ws, "hit", shape, bool)
     diff, term = (buffer(ws, name, shape, complex) for name in ("r", "term"))
     lam, limits = buffer(ws, "top", shape), [(-eta / 2, eta / 2) for eta in etas]
     for r_i, y1, y2 in zip(r, [y_sd1, *y_rd1], [y_sd2, *y_rd2]):

@@ -17,10 +17,15 @@ link and forms y in the noise (`_PointPlan.receive` consumes both).  The S-D
 stage keeps the source's alphabet indices (`_phases`), from which each later
 stage makes the source's u (`_samples`).  Relay i decides every block before
 its R-D_i noise is drawn into its S-R_i buffer, and then re-encodes (a genie
-forwards the source's u).  The destination then decides.  Blocks of
-`_block_frames` frames keep the arrays a block streams cache-sized.  Chunked
-draws (the info symbols into the smallest unsigned dtype for M, the noise
-through a block-sized scratch) are the same stream.
+forwards the source's u).  The destination then decides; it holds only the
+N + 1 received signals, info, the decisions, the fading and one block's kernel
+arrays.  A block (`_block_frames`) has at most ``BLOCK_SYMBOLS`` = 8,192
+samples, so its (M, frames, K) score slabs, pair products and y slices stay
+near a core's 2 MiB L2: at 16,384 an M=4 destination block held 2.5 MiB.  Its
+batches ran 10% faster to 7% slower than at 16,384; 4,096 ran up to 13% slower
+than 8,192, its per-block calls outweighing the smaller arrays (`BENCH_20.json`).
+Chunked draws (the info symbols into the smallest unsigned dtype for M, the
+noise through a block-sized scratch) are the same stream.
 
 Each point runs in batches of ``BATCH_FRAMES`` frames (the last one may be
 shorter), in waves of ``workers`` batches: with ``workers > 1`` a wave runs in
@@ -82,7 +87,7 @@ __all__ = [
 DETECTOR_KINDS = (*OP_COUNTS, "coherent", "relay-only")
 RELAY_MODES = ("realistic", "genie-all", "genie-r")
 BATCH_FRAMES = 256  # fixed rng keying unit; do not change between runs
-BLOCK_SYMBOLS = 1 << 14  # samples per frame block of a batch's compute phase (`_block_frames`)
+BLOCK_SYMBOLS = 1 << 13  # samples per compute block: near L2; 4,096 loses more in per-block calls
 _SLOT = threading.local()  # this thread's batch workspace: .ws
 
 
@@ -330,8 +335,9 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
             return det != info
         complex_normal(rng, 1.0, out=y[i + 1], scratch=scratch)  # R-D_i
         for b in blocks:  # a genie forwards u_s
-            u_r = _encode_batch(plan, det[b]) if decides else _samples(plan, phase[b])
-            plan.receive(h_rd[i][b], u_r, y[i + 1][b])
+            plan.receive(h_rd[i][b], _encode_batch(plan, det[b]) if decides
+                         else _samples(plan, phase[b]), y[i + 1][b])
+    del phase  # nothing is kept past its last use
 
     for b in blocks:
         sd, *rd = (plan.pairs(y_j[b], h_j[b]) for y_j, h_j in zip(y, (h_sd, *h_rd)))

@@ -4,9 +4,11 @@ The kernel benchmarks time one 256-frame batch of N=3 relays, M=4, K=127,
 with the pair layout, scales and thresholds the harness builds at 18 dB, and
 one reused workspace, as the harness calls them.  The batch benchmarks time
 `harness._simulate_batch` at the shapes of the two gated benchmark workloads
-and record in ``extra_info`` the minor page faults per batch (``ru_minflt``),
-the bytes the batch workspace holds and the traced peak bytes of one batch
-started from an empty workspace, so allocator churn and footprint show.
+and at one large-alphabet shape (M=64), where the per-block score arrays grow
+with M, and record in ``extra_info`` the minor page faults per batch
+(``ru_minflt``), the bytes the batch workspace holds and the traced peak bytes
+of one batch started from an empty workspace, so allocator churn, footprint
+and the block size show.
 The cold-start benchmark times ``import gdmrelay`` in fresh interpreters and
 records the modules loaded and the peak RSS in ``extra_info``, so an
 import-time regression shows.  The two-worker benchmark times a
@@ -73,7 +75,8 @@ def test_pld(benchmark, batch):
     benchmark(detectors.pld_detect_batch, *args, plan.etas, plan.points, {})
 
 
-# the sweeps of the gated benchmark workloads, at one of their SNR points
+# the sweeps of the gated benchmark workloads, at one of their SNR points, and a
+# large-M shape, whose (M, frames, K) block scores show the block size
 BATCH_SHAPES = {
     "dm-relays-nmld": dict(n_relays=3, k_frame=127, l_block=1, detector="nmld", snr=18.0),
     "dm-relays-amld": dict(n_relays=3, k_frame=127, l_block=1, detector="amld", snr=18.0),
@@ -81,14 +84,15 @@ BATCH_SHAPES = {
     "gdm-long-nmld": dict(n_relays=1, k_frame=511, l_block=256, detector="nmld", snr=28.0),
     "gdm-long-coherent": dict(n_relays=1, k_frame=511, l_block=1, detector="coherent",
                               snr=28.0),
+    "m64-pld": dict(n_relays=2, m=64, k_frame=127, l_block=1, detector="pld", snr=18.0),
 }
 
 
 @pytest.mark.parametrize("shape", BATCH_SHAPES)
 def test_simulate_batch(benchmark, shape):
-    kw = dict(BATCH_SHAPES[shape])
+    kw = {"m": M} | BATCH_SHAPES[shape]
     snr = kw.pop("snr")
-    cfg = harness.ExperimentConfig(m=M, snr_grid_db=(snr,), **kw)
+    cfg = harness.ExperimentConfig(snr_grid_db=(snr,), **kw)
     plan = harness._point_plan(cfg, snr)
     calls = 0
 

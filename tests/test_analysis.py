@@ -347,6 +347,28 @@ class TestAveragedErroneous:
         assert b / a == pytest.approx(2.0, rel=0.01)
 
 
+class TestSnrDomain:
+    @pytest.mark.parametrize("g", [math.inf, math.nan, 0.0, -1.0])
+    def test_averaged_forms_reject_snr(self, g):
+        eps, eta = eps_eta(4, 100.0)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            ser_avg_error_free(2, 4, eps, eta, g)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            ser_avg_error_free(2, 4, eps, eta, 100.0, gamma_sd_bar=g)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            ser_avg_erroneous(2, 4, eps, eta, g)
+
+    @pytest.mark.parametrize("g", [math.nan, -1.0])
+    def test_conditional_rejects_negative_or_nan_snr(self, g):
+        # 0 stays valid: an instantaneous SNR of 0 is a faded-out link
+        eta = eta_threshold(0.01, 4, 1.0, 1.0)
+        pa = optimize_power(1).as_allocation()
+        with pytest.raises(ValueError, match=">= 0"):
+            ser_conditional_single(g, 10.0, 0.01, eta, pa, 4)
+        with pytest.raises(ValueError, match=">= 0"):
+            ser_conditional_single(10.0, g, 0.01, eta, pa, 4)
+
+
 class TestDiversity:
     def test_overall_order(self):
         assert [diversity_order(n) for n in (1, 2, 3, 4, 5, 6)] == [2, 2, 3, 3, 4, 4]

@@ -584,14 +584,15 @@ class TestWorkspace:
 
     def test_block_frames(self):
         assert [harness._block_frames(k) for k in (15, 63, 127, 255, 511, 16383, 40000)] == [
-            256, 256, 128, 64, 32, 1, 1]
+            256, 128, 64, 32, 16, 1, 1]
 
     @pytest.mark.parametrize("kw, bound_mib", [
-        (dict(k_frame=511, l_block=256, snr_grid_db=(28.0,)), 9),  # gdm-long
-        (dict(k_frame=511, detector="coherent", snr_grid_db=(28.0,)), 7.5),
-        (dict(n_relays=3, k_frame=127, snr_grid_db=(18.0,)), 5.25),  # dm-relays
-        (dict(n_relays=3, k_frame=127, snr_grid_db=(18.0,), detector="pld"), 6),
-    ], ids=["gdm-long", "gdm-long-coherent", "dm-relays", "dm-relays-pld"])
+        (dict(k_frame=511, l_block=256, snr_grid_db=(28.0,)), 7.2),  # gdm-long
+        (dict(k_frame=511, detector="coherent", snr_grid_db=(28.0,)), 5.9),
+        (dict(n_relays=3, k_frame=127, snr_grid_db=(18.0,)), 3.45),  # dm-relays
+        (dict(n_relays=3, k_frame=127, snr_grid_db=(18.0,), detector="pld"), 3.9),
+        (dict(n_relays=2, m=16, k_frame=127, snr_grid_db=(18.0,)), 4.6),  # M x block scores
+    ], ids=["gdm-long", "gdm-long-coherent", "dm-relays", "dm-relays-pld", "m16"])
     def test_footprint(self, kw, bound_mib):
         # one batch of a benchmark workload's sweep, from an empty workspace: besides
         # the N + 1 noise arrays, a batch holds only block-sized and compact arrays
