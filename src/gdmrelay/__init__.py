@@ -21,12 +21,10 @@ from gdmrelay.detectors import (
     DetectionContext,
     OpCount,
     OpCounter,
-    relay_detect,
     nmld_detect,
     amld_detect,
     pld_detect,
     pld_pairwise_llr,
-    coherent_baseline_detect,
     count_ops,
 )
 from gdmrelay.analysis import (

@@ -157,6 +157,8 @@ def ser_avg_error_free(n_relays: int, m: int, epsilon: float, eta: float,
     """
     if n_relays < 1:
         raise ValueError("n_relays must be >= 1")
+    if m < 2 or not 0 < eta < math.inf:
+        raise ValueError(f"need m >= 2 and a finite eta > 0, got m={m}, eta={eta}")
     if gamma_sd_bar is None:
         gamma_sd_bar = gamma_bar
     if not (0 < gamma_bar < math.inf and 0 < gamma_sd_bar < math.inf):
@@ -194,6 +196,8 @@ def ser_avg_erroneous(n_relays: int, m: int, epsilon: float, eta: float,
         raise ValueError("n_relays must be >= 1")
     if not 0 < gamma_sd_bar < math.inf:
         raise ValueError("gamma_sd_bar must be finite and > 0")
+    if m < 2 or not 0 < eta < math.inf:
+        raise ValueError(f"need m >= 2 and a finite eta > 0, got m={m}, eta={eta}")
     eps = clamp_epsilon(epsilon)
     total = 0.0
     for n_err in range(1, n_relays + 1):

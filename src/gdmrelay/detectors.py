@@ -5,18 +5,20 @@ per link, at the positions `GdmFrameConfig.pair_positions` gives.  The pair
 scale is 1 for a reference symbol and sqrt(rho_n/rho_r) for a normal symbol.
 The detectors assume unit noise on every link, the link model of `channel`.
 
-Scalar functions (`relay_detect`, `nmld_detect`, ...) are the reference
-implementations used by the oracle tests; the `*_batch` variants vectorize
-the same decisions over arrays of symbols and are what the Monte Carlo
-harness calls.  Ties always break toward the lowest alphabet index.
+Scalar functions (`nmld_detect`, `amld_detect`, `pld_detect`) are the
+reference implementations used by the oracle tests; the `*_batch` variants
+vectorize the same decisions over arrays of symbols and are what the Monte
+Carlo harness calls.  Ties always break toward the lowest alphabet index.
 
 The relay, nmld and amld batch kernels decide on correlation scores
 Re(y1*conj(y2)*conj(x_t)), one real (M, ..., K) array per link with the
 alphabet axis leading, not on distances (derivation in the batch section).
 
-The coherent baseline is the branch-floor rule on (y, h) pairs (sample and
-known fading coefficient) with eta = `relay_reliability`: `nmld_detect` with
-scale the amplitude, or `nmld_detect_batch` with the points times it.
+`nmld_detect` is the one scalar statement of the branch-floor rule.  With no
+relay pairs it is the relay's minimum-distance decision.  On (y, h) pairs
+(sample and known fading coefficient), with scale the amplitude and eta =
+`relay_reliability`, it is the coherent baseline, as `nmld_detect_batch` is
+with the points times the amplitude.
 """
 
 from __future__ import annotations
@@ -32,12 +34,10 @@ __all__ = [
     "DetectionContext",
     "OpCount",
     "OpCounter",
-    "relay_detect",
     "nmld_detect",
     "amld_detect",
     "pld_detect",
     "pld_pairwise_llr",
-    "coherent_baseline_detect",
     "relay_reliability",
     "count_ops",
     "OP_COUNTS",
@@ -55,6 +55,8 @@ EPSILON_CEIL = 0.5 - 1e-12
 def clamp_epsilon(epsilon: float) -> float:
     """Keep a relay error rate strictly inside (0, 1/2): the floor keeps eta
     finite, the ceiling keeps epsilon in `analysis.eta_threshold`'s domain."""
+    if math.isnan(epsilon):
+        raise ValueError("epsilon must be a number, got nan")
     return min(max(float(epsilon), EPSILON_FLOOR), EPSILON_CEIL)
 
 
@@ -171,12 +173,6 @@ def _pair_distances(y1, y2, scale, points):
     return np.abs(y1 - scale * y2 * points) ** 2
 
 
-def relay_detect(y_pair, scale: float, alphabet: PskAlphabet) -> int:
-    """Minimum-distance detection of one differential pair; 1-based index."""
-    d = _pair_distances(y_pair[0], y_pair[1], scale, alphabet.points)
-    return int(np.argmin(d)) + 1
-
-
 def nmld_detect(ctx: DetectionContext, alphabet: PskAlphabet,
                 counter: OpCounter | None = None) -> int:
     """Low-complexity destination detection with per-branch min floors.
@@ -257,18 +253,6 @@ def pld_detect(ctx: DetectionContext, alphabet: PskAlphabet) -> int:
         if pld_pairwise_llr(ctx, champ, q, alphabet) < 0:
             champ = q
     return champ
-
-
-def coherent_baseline_detect(y_sd, y_rd, h_sd, h_rd, epsilons, alphabet: PskAlphabet,
-                             amplitude: float = 1.0) -> int:
-    """Coherent reference detector with known destination-side coefficients:
-    `nmld_detect` on (y, h) pairs with scale ``amplitude`` and threshold
-    log((1-eps)(M-1)/eps), so relay reliability enters only through the
-    average error rate.
-    """
-    etas = tuple(relay_reliability(clamp_epsilon(e), alphabet.m) for e in epsilons)
-    return nmld_detect(DetectionContext((y_sd, h_sd), tuple(zip(y_rd, h_rd)), amplitude, etas),
-                       alphabet)
 
 
 # ---------------------------------------------------------------------------

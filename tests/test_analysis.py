@@ -369,6 +369,31 @@ class TestSnrDomain:
             ser_conditional_single(10.0, g, 0.01, eta, pa, 4)
 
 
+class TestAveragedDomain:
+    @pytest.mark.parametrize("m", [1, 0, -2])
+    def test_reject_m_below_two(self, m):
+        with pytest.raises(ValueError, match="m >= 2"):
+            ser_avg_error_free(2, m, 0.01, 5.0, 100.0)
+        with pytest.raises(ValueError, match="m >= 2"):
+            ser_avg_erroneous(2, m, 0.01, 5.0, 100.0)
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_reject_eta_not_finite_and_positive(self, eta):
+        with pytest.raises(ValueError, match="finite eta > 0"):
+            ser_avg_error_free(2, 4, 0.01, eta, 100.0)
+        with pytest.raises(ValueError, match="finite eta > 0"):
+            ser_avg_erroneous(2, 4, 0.01, eta, 100.0)
+
+    def test_reject_nan_epsilon(self):
+        eta = eta_threshold(0.01, 4, 1.0, 1.0)
+        pa = optimize_power(1).as_allocation()
+        for call in (lambda: ser_avg_error_free(2, 4, math.nan, eta, 100.0),
+                     lambda: ser_avg_erroneous(2, 4, math.nan, eta, 100.0),
+                     lambda: ser_conditional_single(10.0, 10.0, math.nan, eta, pa, 4)):
+            with pytest.raises(ValueError, match="epsilon"):
+                call()
+
+
 class TestDiversity:
     def test_overall_order(self):
         assert [diversity_order(n) for n in (1, 2, 3, 4, 5, 6)] == [2, 2, 3, 3, 4, 4]

@@ -13,15 +13,14 @@ from gdmrelay.detectors import (
     amld_detect_batch,
     buffer,
     clamp_epsilon,
-    coherent_baseline_detect,
     count_ops,
     nmld_detect,
     nmld_detect_batch,
     pld_detect,
     pld_detect_batch,
     pld_pairwise_llr,
-    relay_detect,
     relay_detect_batch,
+    relay_reliability,
 )
 from gdmrelay.modulation import GdmFrameConfig, gdm_encode, make_alphabet
 from gdmrelay.power import optimize_power
@@ -103,6 +102,18 @@ def oracle_averaged_ml(ctx, epsilons, alphabet):
     return best
 
 
+def relay_ctx(y1, y2, scale):
+    """The relay's minimum-distance decision: `nmld_detect` with no relay pairs."""
+    return DetectionContext(y_sd_pair=(y1, y2), y_rd_pairs=(), scale=scale)
+
+
+def coherent_ctx(y, h, epsilons, m, amplitude=1.0):
+    """The coherent baseline's input to `nmld_detect`: (y, h) pairs, scale the
+    amplitude, eta the reliability term of each clamped rate."""
+    etas = tuple(relay_reliability(clamp_epsilon(e), m) for e in epsilons)
+    return DetectionContext((y[0], h[0]), tuple(zip(y[1:], h[1:])), amplitude, etas)
+
+
 def random_context(rng, m, n, snr_db=15.0, scale=1.0):
     g = 10.0 ** (snr_db / 10.0)
     alphabet = make_alphabet(m)
@@ -129,21 +140,21 @@ class TestRelayDetect:
         for t in range(1, 5):
             y2 = 0.8 - 0.3j
             y1 = y2 * a.point(t)
-            assert relay_detect((y1, y2), 1.0, a) == t
+            assert nmld_detect(relay_ctx(y1, y2, 1.0), a) == t
 
     def test_scale_applied(self):
         a = make_alphabet(4)
         y2 = 1.0 + 0.5j
         y1 = 0.5 * y2 * a.point(3)
-        assert relay_detect((y1, y2), 0.5, a) == 3
+        assert nmld_detect(relay_ctx(y1, y2, 0.5), a) == 3
 
     def test_tie_breaks_low_index(self):
         a = make_alphabet(2)
-        assert relay_detect((0.0, 0.0), 1.0, a) == 1
+        assert nmld_detect(relay_ctx(0.0, 0.0, 1.0), a) == 1
 
 
 class TestBranchFloorDetector:
-    @pytest.mark.parametrize("m,n", [(2, 1), (4, 1), (4, 3), (8, 2)])
+    @pytest.mark.parametrize("m,n", [(2, 1), (4, 1), (4, 3), (8, 2), (4, 0), (8, 0)])
     def test_matches_oracle(self, m, n):
         rng = substream(100, m, n)
         for _ in range(300):
@@ -219,8 +230,8 @@ class TestCoherentBaseline:
         h_sd, h_rd = 0.7 - 0.2j, -0.3 + 1.1j
         for t in range(1, 5):
             x = a.point(t)
-            assert coherent_baseline_detect(
-                h_sd * x, [h_rd * x], h_sd, [h_rd], [1e-3], a) == t
+            assert nmld_detect(coherent_ctx(
+                [h_sd * x, h_rd * x], [h_sd, h_rd], [1e-3], a.m), a) == t
 
     def test_unreliable_relay_branch_capped(self):
         # eps near 1/2 shrinks the penalty so a bad relay cannot flip the call
@@ -228,8 +239,8 @@ class TestCoherentBaseline:
         h = 1.0 + 0j
         y_sd = h * a.point(1) * 3.0
         y_rd = h * a.point(2) * 3.0
-        assert coherent_baseline_detect(
-            y_sd, [y_rd], 3.0 * h, [3.0 * h], [0.49], a) == 1
+        assert nmld_detect(coherent_ctx(
+            [y_sd, y_rd], [3.0 * h, 3.0 * h], [0.49], a.m), a) == 1
 
     def test_is_the_branch_floor_on_coherent_pairs(self):
         # (y, h) pairs with scale = amplitude and eta the bare reliability term of
@@ -246,8 +257,7 @@ class TestCoherentBaseline:
             etas = [math.log((1 - e) * (m - 1) / e) for e in map(clamp_epsilon, eps)]
             ctx = DetectionContext(y_sd_pair=(y[0], h[0]), y_rd_pairs=tuple(zip(y[1:], h[1:])),
                                    scale=amp, etas=tuple(etas))
-            assert coherent_baseline_detect(y[0], y[1:], h[0], h[1:], eps, a,
-                                            amp) == oracle_branch_floor(ctx, a)
+            assert nmld_detect(coherent_ctx(y, h, eps, m, amp), a) == oracle_branch_floor(ctx, a)
 
 
 class TestOperationCounts:
@@ -340,9 +350,9 @@ class TestBatchEquivalence:
 
         got = nmld_detect_batch(y_sd, h_sd[:, None], y_rd, [h[:, None] for h in h_rd],
                                 1.0, etas, amplitude * alphabet.points)
-        want = [[coherent_baseline_detect(y_sd[i, j], [y[i, j] for y in y_rd], h_sd[i],
-                                          [h[i] for h in h_rd], eps, alphabet,
-                                          amplitude=amplitude)
+        want = [[nmld_detect(coherent_ctx([y_sd[i, j], *(y[i, j] for y in y_rd)],
+                                          [h_sd[i], *(h[i] for h in h_rd)], eps, m,
+                                          amplitude), alphabet)
                  for j in range(k)] for i in range(f)]
         assert got.tolist() == want
 
@@ -352,7 +362,7 @@ class TestBatchEquivalence:
         y1 = (rng.standard_normal(50) + 1j * rng.standard_normal(50))
         y2 = (rng.standard_normal(50) + 1j * rng.standard_normal(50))
         got = relay_detect_batch(y1, y2, np.full(50, 0.7), alphabet.points)
-        want = [relay_detect((a, b), 0.7, alphabet) for a, b in zip(y1, y2)]
+        want = [nmld_detect(relay_ctx(a, b, 0.7), alphabet) for a, b in zip(y1, y2)]
         assert got.tolist() == want
 
 
@@ -391,12 +401,12 @@ class TestBatchTieRule:
             ctx = DetectionContext(y_sd_pair=(y_sd1[0, j], 0j),
                                    y_rd_pairs=tuple((y[0, j], 0j) for y in y_rd1),
                                    scale=scale[j], etas=tuple(etas[:, j]))
-            assert relay_detect((y_sd1[0, j], 0j), scale[j], alphabet) == 1
+            assert nmld_detect(relay_ctx(y_sd1[0, j], 0j, scale[j]), alphabet) == 1
             assert nmld_detect(ctx, alphabet) == 1
             assert amld_detect(ctx, eps, alphabet) == 1
             assert pld_detect(ctx, alphabet) == 1
-            assert coherent_baseline_detect(y_sd1[0, j], [y[0, j] for y in y_rd1], 0j,
-                                            [0j] * n, eps, alphabet, amplitude=1.5) == 1
+            assert nmld_detect(coherent_ctx([y_sd1[0, j], *(y[0, j] for y in y_rd1)],
+                                            [0j] * (n + 1), eps, m, 1.5), alphabet) == 1
 
 
 class TestExtremeSnr:
@@ -439,14 +449,14 @@ class TestExtremeSnr:
                 ctx = DetectionContext(y_sd_pair=(y_sd1[i, j], y_sd2[i, j]),
                                        y_rd_pairs=tuple((y[0][i, j], y[1][i, j]) for y in rd),
                                        scale=scale[j], etas=tuple(etas[:, j]))
-                want = {"relay": relay_detect((rd[0][0][i, j], rd[0][1][i, j]), scale[j],
-                                              alphabet),
+                want = {"relay": nmld_detect(relay_ctx(rd[0][0][i, j], rd[0][1][i, j], scale[j]),
+                                             alphabet),
                         "nmld": nmld_detect(ctx, alphabet),
                         "amld": amld_detect(ctx, eps, alphabet),
                         "pld": pld_detect(ctx, alphabet),
-                        "coherent": coherent_baseline_detect(
-                            y_sd1[i, j], [y[0][i, j] for y in rd], h_sd[i, 0],
-                            [y[2][i, 0] for y in rd], eps, alphabet)}
+                        "coherent": nmld_detect(coherent_ctx(
+                            [y_sd1[i, j], *(y[0][i, j] for y in rd)],
+                            [h_sd[i, 0], *(y[2][i, 0] for y in rd)], eps, m), alphabet)}
                 for kind, value in want.items():
                     assert batch[kind][i, j] == value, (kind, i, j)
 
@@ -510,20 +520,47 @@ class TestBatchProperty:
                 ctx = DetectionContext(y_sd_pair=(pairs[0][0][i, j], pairs[0][1][i, j]),
                                        y_rd_pairs=tuple((a[i, j], b[i, j]) for a, b in pairs[1:]),
                                        scale=scale[j], etas=tuple(etas[:, j]))
-                want = {"relay": relay_detect((pairs[-1][0][i, j], pairs[-1][1][i, j]),
-                                              scale[j], alphabet),
+                want = {"relay": nmld_detect(relay_ctx(pairs[-1][0][i, j], pairs[-1][1][i, j],
+                                                       scale[j]), alphabet),
                         "nmld": nmld_detect(ctx, alphabet),
                         "amld": amld_detect(ctx, eps, alphabet),
                         "pld": pld_detect(ctx, alphabet),
-                        "coherent": coherent_baseline_detect(
-                            coh[0][0][i, j], [y[i, j] for y, _ in coh[1:]], coh[0][1][i, 0],
-                            [h[i, 0] for _, h in coh[1:]], eps, alphabet,
-                            amplitude=amplitude)}
+                        "coherent": nmld_detect(coherent_ctx(
+                            [y[i, j] for y, _ in coh], [h[i, 0] for _, h in coh], eps, m,
+                            amplitude), alphabet)}
                 for kind, value in want.items():
                     assert whole[kind][i, j] == value, (kind, i, j)
                     assert again[kind][i, j] == value, (kind, i, j)
                     if j % 2 == 0:
                         assert part[kind][i, j // 2] == value, (kind, i, j)
+
+
+class TestRelayKernelIsBranchFloor:
+    """The relay kernel is the branch-floor kernel with no relay branches, bit
+    for bit, at zero references and far outside the working SNR range."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([2, 3, 4, 8, 16, 64]), k=st.integers(1, 40),
+           frames=st.integers(1, 4), zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+           snr_db=st.one_of(st.sampled_from([-30.0, 90.0]), st.floats(-30.0, 90.0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_relay_batch_is_nmld_batch_without_relays(self, m, k, frames, zero_share,
+                                                       snr_db, seed):
+        rng = np.random.default_rng(seed)
+        points = make_alphabet(m).points
+        g = 10.0 ** (snr_db / 10.0)
+
+        def cn(*shape):
+            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+
+        h = math.sqrt(g) * cn(frames, 1)
+        y1 = h * points[rng.integers(0, m, size=(frames, k))] + cn(frames, k)
+        y2 = np.where(rng.random((frames, k)) < zero_share, 0j, h + cn(frames, k))
+        scale = np.where(rng.random(k) < 0.5, 1.0, float(rng.uniform(0.2, 1.5)))
+        got = relay_detect_batch(y1, y2, scale, points)
+        want = nmld_detect_batch(y1, y2, [], [], scale, np.empty((0, k)), points)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 class TestBuffer:
@@ -550,3 +587,9 @@ class TestClampEpsilon:
         assert clamp_epsilon(0.9) == pytest.approx(0.5 - 1e-12)
         assert clamp_epsilon(0.01) == 0.01
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            clamp_epsilon(math.nan)
+        y = np.ones((1, 3), complex)
+        with pytest.raises(ValueError, match="epsilon"):
+            amld_detect_batch(y, y, [y], [y], 1.0, [math.nan], make_alphabet(4).points)

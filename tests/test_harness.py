@@ -9,6 +9,7 @@ import pytest
 
 from gdmrelay import analysis, harness
 from gdmrelay.channel import complex_normal, substream
+from gdmrelay.detectors import clamp_epsilon, relay_reliability
 from gdmrelay.harness import (
     BATCH_FRAMES,
     ExperimentConfig,
@@ -137,6 +138,19 @@ class TestPointPlan:
                 rho_t = pa.rho_r if (k + 1) % l_block == 0 else pa.rho_n
                 want = analysis.eta_threshold(eps, cfg.m, rho_t, pa.rho_r)
                 assert plan.etas[i, k] == pytest.approx(want, rel=1e-12)
+
+
+    def test_coherent_thresholds_are_the_reliability_term(self):
+        # eta = relay_reliability of the clamped coherent relay SER; at -30 dB that
+        # SER is above 1/2, so the plan must clamp it first
+        grid = (-30.0, -20.0, -10.0, 0.0, 10.0, 20.0, 30.0)
+        cfg = small_cfg(n_relays=2, detector="coherent", snr_grid_db=grid)
+        sers = [analysis.coherent_mpsk_rayleigh_ser(cfg.p_s * cfg.link_snrs(s)[1], cfg.m)
+                for s in grid]
+        assert sers[0] > 0.5
+        for i, (snr_db, ser) in enumerate(zip(grid, sers)):
+            want = relay_reliability(clamp_epsilon(ser), cfg.m)
+            assert harness._point_plan(cfg, snr_db).etas.tolist() == [want, want], i
 
 
 class TestReceive:
