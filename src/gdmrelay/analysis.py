@@ -110,6 +110,8 @@ def ser_conditional_single(gamma_sd: float, gamma_rd: float, epsilon: float,
         raise ValueError("symbol_type must be 'R' or 'N'")
     if not (gamma_sd >= 0 and gamma_rd >= 0):
         raise ValueError("instantaneous SNRs must be >= 0")
+    if m < 2 or not 0 < eta < math.inf:
+        raise ValueError(f"need m >= 2 and a finite eta > 0, got m={m}, eta={eta}")
     rho_t = power.rho_r if symbol_type == "R" else power.rho_n
     phi = effective_receive_snr(rho_t, power.rho_r, 1.0)
     ratio = rho_t / power.rho_r

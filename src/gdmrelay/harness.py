@@ -6,20 +6,21 @@ accumulating symbol error counts until a stop rule is met.
 
 One pipeline (`_simulate_batch`) serves the differential schemes and the
 coherent reference.  A plan built once per SNR point holds the invariants;
-the two scheme-specific steps branch on it: the encoder (`_phases`, `_samples`)
+the two scheme-specific steps branch on it: the encoder (`_encode_batch`) and
 the (y1, y2) pairs the batch detectors compare (`_PointPlan.pairs`),
 (y[k1], y[k2]) for differential and (y, h) for coherent.
 
 A batch draws the info symbols and the fading, then runs one stage per link in
 draw order (S-D, then S-R_i and R-D_i per relay): it draws the link's noise
-(nothing else draws it) and, per frame block, makes the samples u sent on the
-link and forms y in the noise (`_PointPlan.receive` consumes both).  The S-D
-stage keeps the source's alphabet indices (`_phases`), from which each later
-stage makes the source's u (`_samples`).  Relay i decides every block before
-its R-D_i noise is drawn into its S-R_i buffer, and then re-encodes (a genie
-forwards the source's u).  The destination then decides; it holds only the
-N + 1 received signals, info, the decisions, the fading and one block's kernel
-arrays.  A block (`_block_frames`) has at most ``BLOCK_SYMBOLS`` = 8,192
+(nothing else draws it) and, per frame block, forms y in the noise from the
+compact alphabet indices sent on the link, through the plan's one table of
+transmitted points (`_PointPlan.receive` consumes only the noise).  The S-D
+stage keeps the source's indices, which the S-R_i stages receive too.  Relay
+i decides every block before its R-D_i noise is drawn into its S-R_i buffer,
+and then re-encodes (a genie forwards the source's indices).  The destination
+then decides; it holds only the N + 1 received signals, info, the decisions,
+the fading and one block's kernel arrays.  A block (`_block_frames`, read from
+the plan) has at most ``BLOCK_SYMBOLS`` = 8,192
 samples, so its (M, frames, K) score slabs, pair products and y slices stay
 near a core's 2 MiB L2: at 16,384 an M=4 destination block held 2.5 MiB.  Its
 batches ran 10% faster to 7% slower than at 16,384; 4,096 ran up to 13% slower
@@ -38,7 +39,7 @@ the noise of the N + 1 links the destination receives (its only batch-sized
 buffers; relay-only draws S-D and S-R_1 into one), the block-sized draw
 scratch and the detector kernels' arrays, which cost page faults when made
 fresh (five times the minor faults per `dm-relays` benchmark pass).  Encoded
-samples are plain arrays.  A named buffer keeps its last shape; when a batch
+indices are plain arrays.  A named buffer keeps its last shape; when a batch
 needs another, `detectors.buffer` drops it and makes it anew.  Nothing reads a
 buffer before writing it.  `run_ser_experiment` drops the workspace on return;
 each pool thread fills its own, which is freed when the thread exits at the
@@ -68,8 +69,8 @@ import numpy as np
 from gdmrelay import analysis, detectors
 from gdmrelay.channel import complex_normal, db_to_linear, substream
 from gdmrelay.detectors import OP_COUNTS, buffer, clamp_epsilon, count_ops, relay_reliability
-from gdmrelay.modulation import (GdmFrameConfig, PowerAllocation, _encode_samples,
-                                 _phase_indices, _sample_gains, make_alphabet)
+from gdmrelay.modulation import (GdmFrameConfig, PowerAllocation, _phase_indices,
+                                 _transmit_table, make_alphabet)
 from gdmrelay.power import optimize_power
 
 __all__ = [
@@ -218,23 +219,29 @@ class _PointPlan:
     """Invariants of one SNR point, built once and shared by every batch.
 
     ``frame`` is None for the coherent reference, whose ``points`` carry the
-    amplitude sqrt(p_s); ``snrs`` are `ExperimentConfig.link_snrs`, ``gains``
-    the encoder's `_sample_gains` and ``etas`` the branch-floor thresholds per
-    relay: `analysis.eta_threshold` per pair, or `relay_reliability` if coherent.
+    amplitude sqrt(p_s); ``snrs`` are `ExperimentConfig.link_snrs` and ``etas``
+    the branch-floor thresholds per relay: `analysis.eta_threshold` per pair, or
+    `relay_reliability` if coherent.  Stages carry alphabet indices
+    (`_encode_batch`).  ``tx`` is the table of transmitted points
+    (`modulation._transmit_table`; ``points`` if coherent), and ``base[f, k]`` is
+    ``f * tx.size`` plus position k's row offset (0 if coherent): the index of
+    frame f's sample k in a block's table h*tx.  Its frame count is the block size.
     """
 
     snrs: tuple
     frame: GdmFrameConfig | None
     points: np.ndarray
-    gains: np.ndarray | None
+    tx: np.ndarray
+    base: np.ndarray
     k2: np.ndarray | None
     scale: np.ndarray | float
     epsilons: tuple
     etas: np.ndarray
 
-    def receive(self, h: np.ndarray, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """y = h*u + ``noise``, formed in ``noise``; it consumes u and ``noise``."""
-        noise += np.multiply(h[:, None], u, out=u)  # the same bits as h*u + noise
+    def receive(self, h: np.ndarray, phase: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """y = h*u + ``noise`` for the samples u of alphabet indices ``phase``
+        (at most a block of frames), formed in ``noise``; it consumes only ``noise``."""
+        noise += (h[:, None] * self.tx).take(self.base[:len(h)] + phase)  # the bits of h*u
         return noise
 
     def pairs(self, y: np.ndarray, h: np.ndarray) -> tuple:
@@ -250,17 +257,19 @@ class _PointPlan:
 def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPlan:
     """The plan of one SNR point; ``epsilons`` defaults to `_point_epsilons`."""
     epsilons = tuple(_point_epsilons(cfg, snr_db) if epsilons is None else epsilons)
-    points = make_alphabet(cfg.m).points
+    frames = np.arange(_block_frames(cfg.k_frame))[:, None]
     if cfg.detector == "coherent":
+        points = math.sqrt(cfg.p_s) * make_alphabet(cfg.m).points
         etas = np.array([relay_reliability(e, cfg.m) for e in epsilons])
-        return _PointPlan(cfg.link_snrs(snr_db), None, math.sqrt(cfg.p_s) * points,
-                          None, None, 1.0, epsilons, etas)
+        return _PointPlan(cfg.link_snrs(snr_db), None, points, points,
+                          frames * cfg.m + np.zeros(cfg.k_frame, int), None, 1.0, epsilons, etas)
     fc = cfg.frame_config()
     k1, k2 = fc.pair_positions()
     scale = np.where(fc.ref_mask()[k1], 1.0, fc.power.ns_scale)  # sqrt(rho_t/rho_r) per pair
     etas = np.array([analysis.eta_threshold(e, cfg.m, scale**2, 1.0) for e in epsilons])
-    return _PointPlan(cfg.link_snrs(snr_db), fc, points, _sample_gains(fc), k2, scale,
-                      epsilons, etas)
+    tx, rows = _transmit_table(fc)
+    return _PointPlan(cfg.link_snrs(snr_db), fc, make_alphabet(cfg.m).points, tx,
+                      frames * tx.size + rows, k2, scale, epsilons, etas)
 
 
 def _block_frames(k_frame: int) -> int:
@@ -271,20 +280,8 @@ def _block_frames(k_frame: int) -> int:
 
 
 def _encode_batch(plan: _PointPlan, info: np.ndarray) -> np.ndarray:
-    """Transmitted samples of (F, K) info indices."""
-    return _samples(plan, _phases(plan, info))
-
-
-def _phases(plan: _PointPlan, info: np.ndarray) -> np.ndarray:
-    """Alphabet indices of the samples that carry (F, K) info indices."""
+    """The alphabet indices a link sends for (F, K) info indices, in info's dtype."""
     return info - 1 if plan.frame is None else _phase_indices(info, plan.frame)
-
-
-def _samples(plan: _PointPlan, phase: np.ndarray) -> np.ndarray:
-    """Transmitted samples of the alphabet indices ``phase``."""
-    if plan.frame is None:
-        return plan.points.take(phase)
-    return _encode_samples(phase, plan.points, plan.gains)
 
 
 def _draw_info(rng: np.random.Generator, m: int, shape: tuple) -> np.ndarray:
@@ -309,34 +306,34 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
     h = [complex_normal(rng, v, size=n_frames) for v in (g_sd, *(g_sr,) * n, *(g_rd,) * n)]
     h_sd, h_sr, h_rd = h[0], h[1:n + 1], h[n + 1:]
     relay_only = cfg.detector == "relay-only"
-    shape = (n_frames, cfg.k_frame + (plan.frame is not None))  # the shape of u
-    step = _block_frames(cfg.k_frame)
+    step, width = plan.base.shape  # frames per block, samples per frame
+    shape = (n_frames, width)
     blocks = [slice(lo, lo + step) for lo in range(0, n_frames, step)]
     scratch = buffer(ws, "scratch", (step * shape[1],))
     # y[0] is S-D and y[i + 1] S-R_i, then R-D_i; relay-only draws S-D and S-R_1 into one
     y = [buffer(ws, ("noise", 0 if relay_only else j), shape, complex) for j in range(n + 1)]
-    phase = np.empty(shape, info.dtype)  # u_s's alphabet indices; each stage remakes u_s
+    phase = np.empty(shape, info.dtype)  # the source's alphabet indices, sent on S-D and S-R_i
     det = np.empty(info.shape, info.dtype)  # one relay's decisions, then the destination's
 
     complex_normal(rng, 1.0, out=y[0], scratch=scratch)  # S-D
     for b in blocks:
-        phase[b] = _phases(plan, info[b])
+        phase[b] = _encode_batch(plan, info[b])
         if not relay_only:
-            plan.receive(h_sd[b], _samples(plan, phase[b]), y[0][b])
+            plan.receive(h_sd[b], phase[b], y[0][b])
     forced = {"genie-all": n, "genie-r": cfg.genie_r}.get(cfg.relay_mode, 0)
     for i in range(n):  # relay i decides every block before the R-D_i draw takes its buffer
         decides = relay_only or i >= forced  # relay-only: relay 1 decides, genie mode or not
         complex_normal(rng, 1.0, out=y[i + 1], scratch=scratch)  # S-R_i
         for b in blocks if decides else ():
-            y_sr = plan.receive(h_sr[i][b], _samples(plan, phase[b]), y[i + 1][b])
+            y_sr = plan.receive(h_sr[i][b], phase[b], y[i + 1][b])
             det[b] = detectors.relay_detect_batch(*plan.pairs(y_sr, h_sr[i][b]),
                                                   plan.scale, plan.points, ws)
         if relay_only:
             return det != info
         complex_normal(rng, 1.0, out=y[i + 1], scratch=scratch)  # R-D_i
-        for b in blocks:  # a genie forwards u_s
-            plan.receive(h_rd[i][b], _encode_batch(plan, det[b]) if decides
-                         else _samples(plan, phase[b]), y[i + 1][b])
+        for b in blocks:  # a genie forwards the source's indices
+            plan.receive(h_rd[i][b], _encode_batch(plan, det[b]) if decides else phase[b],
+                         y[i + 1][b])
     del phase  # nothing is kept past its last use
 
     for b in blocks:

@@ -140,19 +140,30 @@ class EncodedFrame:
 def _phase_indices(info: np.ndarray, cfg: GdmFrameConfig) -> np.ndarray:
     """Cumulative 0-based phase index of every transmitted sample.
 
-    Works along the last axis of ``info`` (..., K) and returns (..., K+1).
-    Position 0 carries phase 0; position k1 carries the phase of its pair
-    partner k2 plus its own offset.  Every k2 is a block head, whose phase is
-    the running sum of the head offsets.
+    Works along the last axis of ``info`` (..., K) and returns (..., K+1) in
+    info's dtype.  Position 0 carries phase 0; position k1 carries the phase of
+    its pair partner k2 plus its own offset.  Every k2 is a block head, whose
+    phase is the running sum of the head offsets.  The sums wrap in info's dtype
+    where that is exact mod M (M divides 2**bits), else in an int64 temporary.
     """
-    phase = np.empty(info.shape[:-1] + (cfg.k_frame + 1,), np.int64)
+    exact = (1 << 8 * info.dtype.itemsize) % cfg.m == 0
+    phase = np.empty(info.shape[:-1] + (cfg.k_frame + 1,), info.dtype if exact else np.int64)
     phase[..., 0] = 0
     np.subtract(info, 1, out=phase[..., 1:])  # offsets, turned into phases in place
     blocks = phase.reshape(info.shape[:-1] + (cfg.n_blocks, cfg.l_block))  # K+1 = blocks * L
-    np.cumsum(blocks[..., 0], axis=-1, out=blocks[..., 0])  # the heads
+    np.add.accumulate(blocks[..., 0], axis=-1, dtype=phase.dtype, out=blocks[..., 0])  # heads
     blocks[..., 1:] += blocks[..., :1]  # each normal symbol on its own block head
     phase -= cfg.m * (phase // cfg.m)  # phase %= m, but an int64 % costs ~2x the floor division
-    return phase
+    return phase.astype(info.dtype, copy=False)
+
+
+def _transmit_table(cfg: GdmFrameConfig) -> tuple:
+    """The (2M,) transmitted points, ``points*sqrt(rho_r)`` then
+    ``points*sqrt(rho_n)``, and the (K+1,) row offset of each position into
+    it: 0 at block heads, M elsewhere.  A sample is ``tx[rows + phase]``."""
+    points = make_alphabet(cfg.m).points
+    tx = np.concatenate((points * np.sqrt(cfg.power.rho_r), points * np.sqrt(cfg.power.rho_n)))
+    return tx, np.where(cfg.ref_mask(), 0, cfg.m)
 
 
 def gdm_encode(info, cfg: GdmFrameConfig) -> EncodedFrame:
@@ -168,22 +179,9 @@ def gdm_encode(info, cfg: GdmFrameConfig) -> EncodedFrame:
         raise ValueError(f"expected {cfg.k_frame} info symbols, got shape {info.shape}")
     if info.min(initial=cfg.m) < 1 or info.max(initial=1) > cfg.m:
         raise ValueError("info indices must lie in [1, M]")
-    u = _encode_samples(_phase_indices(info, cfg), make_alphabet(cfg.m).points,
-                        _sample_gains(cfg))
+    tx, rows = _transmit_table(cfg)
+    u = tx.take(rows + _phase_indices(info, cfg))
     return EncodedFrame(u=u, info=info.copy(), ref_mask=cfg.ref_mask())
-
-
-def _sample_gains(cfg: GdmFrameConfig) -> np.ndarray:
-    """Per-sample amplitudes: sqrt(rho_r) at block heads, sqrt(rho_n) elsewhere."""
-    return np.sqrt(np.where(cfg.ref_mask(), cfg.power.rho_r, cfg.power.rho_n))
-
-
-def _encode_samples(phase: np.ndarray, points: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """The samples of `gdm_encode` from (..., K+1) `_phase_indices`, the alphabet
-    ``points`` and the frame's `_sample_gains`."""
-    u = points.take(phase)
-    u *= gains
-    return u
 
 
 def noiseless_decode(frame: EncodedFrame, cfg: GdmFrameConfig) -> np.ndarray:

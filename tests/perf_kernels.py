@@ -47,10 +47,14 @@ def batch():
     rng = substream(5, 0)
     gain = 10.0 ** (SNR_DB / 20.0)
     pairs = []
+    step = len(plan.base)  # frames per compute block, the most one receive takes
     for _ in range(N + 1):
-        u = harness._encode_batch(plan, rng.integers(1, M + 1, size=(FRAMES, K)))
+        phase = harness._encode_batch(plan, rng.integers(1, M + 1, size=(FRAMES, K)))
         h = gain * harness.complex_normal(rng, 1.0, FRAMES)
-        pairs.append(plan.pairs(plan.receive(h, u, harness.complex_normal(rng, 1.0, u.shape)), h))
+        y = harness.complex_normal(rng, 1.0, phase.shape)
+        for lo in range(0, FRAMES, step):
+            plan.receive(h[lo:lo + step], phase[lo:lo + step], y[lo:lo + step])
+        pairs.append(plan.pairs(y, h))
     args = (*pairs[0], [p[0] for p in pairs[1:]], [p[1] for p in pairs[1:]], plan.scale)
     return plan, pairs, args
 

@@ -384,6 +384,18 @@ class TestAveragedDomain:
         with pytest.raises(ValueError, match="finite eta > 0"):
             ser_avg_erroneous(2, 4, 0.01, eta, 100.0)
 
+    @pytest.mark.parametrize("eta", [0.0, -5.0, math.nan, math.inf])
+    def test_conditional_rejects_eta_not_finite_and_positive(self, eta):
+        pa = optimize_power(1).as_allocation()
+        with pytest.raises(ValueError, match="finite eta > 0"):
+            ser_conditional_single(10.0, 10.0, 0.01, eta, pa, 4)
+
+    @pytest.mark.parametrize("m", [1, 0])
+    def test_conditional_rejects_m_below_two(self, m):
+        pa = optimize_power(1).as_allocation()
+        with pytest.raises(ValueError, match="m >= 2"):
+            ser_conditional_single(10.0, 10.0, 0.01, 5.0, pa, m)
+
     def test_reject_nan_epsilon(self):
         eta = eta_threshold(0.01, 4, 1.0, 1.0)
         pa = optimize_power(1).as_allocation()

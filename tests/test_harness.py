@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import sys
 import threading
@@ -10,6 +11,7 @@ import pytest
 from gdmrelay import analysis, harness
 from gdmrelay.channel import complex_normal, substream
 from gdmrelay.detectors import clamp_epsilon, relay_reliability
+from gdmrelay.modulation import gdm_encode, make_alphabet
 from gdmrelay.harness import (
     BATCH_FRAMES,
     ExperimentConfig,
@@ -155,22 +157,26 @@ class TestPointPlan:
 
 class TestReceive:
     def test_noiseless(self):
-        # with zero noise the pairs are (h*u[k1], h*u[k2]), and (h*u, h) when coherent
+        # with zero noise a link receives exactly h*u: u the frame gdm_encode makes,
+        # sqrt(p_s) times the info's points when coherent; M=3 sums in a wide temporary
         rng = substream(0, 0)
         h = complex_normal(rng, 4.0, size=3)
-        for kw in (dict(), dict(k_frame=31, l_block=8), dict(detector="coherent")):
-            cfg = small_cfg(**kw)
+        for l_block, m, p_s in itertools.product((1, 8, 256), (3, 4, 64), (1.0, 0.3)):
+            cfg = small_cfg(m=m, k_frame=255, l_block=l_block, p_s=p_s)
             plan = harness._point_plan(cfg, 10.0)
-            u = harness._encode_batch(plan, rng.integers(1, cfg.m + 1, size=(3, cfg.k_frame)))
-            hu = h[:, None] * u  # made first: receive consumes u
-            y1, y2 = plan.pairs(plan.receive(h, u, np.zeros(u.shape, complex)), h)
-            if plan.frame is None:
-                np.testing.assert_array_equal(y1, hu)
-                np.testing.assert_array_equal(y2, h[:, None])
-            else:
-                k1, k2 = plan.frame.pair_positions()
-                np.testing.assert_array_equal(y1, hu[:, k1])
-                np.testing.assert_array_equal(y2, hu[:, k2])
+            info = rng.integers(1, m + 1, size=(3, 255)).astype(np.min_scalar_type(m))
+            y = plan.receive(h, harness._encode_batch(plan, info), np.zeros((3, 256), complex))
+            hu = h[:, None] * gdm_encode(info, plan.frame).u
+            np.testing.assert_array_equal(y, hu)
+            k1, k2 = plan.frame.pair_positions()
+            for got, want in zip(plan.pairs(y, h), (hu[:, k1], hu[:, k2])):
+                np.testing.assert_array_equal(got, want)
+            if l_block == 1:
+                plan = harness._point_plan(dataclasses.replace(cfg, detector="coherent"), 10.0)
+                y = plan.receive(h, harness._encode_batch(plan, info), np.zeros((3, 255), complex))
+                x = np.sqrt(p_s) * make_alphabet(m).points
+                np.testing.assert_array_equal(y, h[:, None] * x[info - 1])
+                np.testing.assert_array_equal(plan.pairs(y, h)[1], h[:, None])
 
 
 class TestRunExperiment:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from gdmrelay.modulation import (
     GdmFrameConfig,
     PowerAllocation,
+    _phase_indices,
     gdm_encode,
     make_alphabet,
     noiseless_decode,
@@ -171,6 +172,17 @@ class TestEncode:
             row = gdm_encode(info[idx], cfg)
             assert np.array_equal(frame.u[idx], row.u)
             assert np.array_equal(frame.info[idx], row.info)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 64, 255, 256, 1000])
+    @pytest.mark.parametrize("k,l", [(127, 1), (319, 16)])
+    def test_compact_phases_match_wide(self, k, l, m):
+        # the harness's info dtype: sums wrap in it only where that is exact mod M
+        cfg = make_cfg(k, l, m)
+        info = np.random.default_rng(m).integers(1, m + 1, size=(4, k))
+        compact = info.astype(np.min_scalar_type(m))
+        phase = _phase_indices(compact, cfg)
+        assert phase.dtype == compact.dtype
+        np.testing.assert_array_equal(phase, _phase_indices(info, cfg))
 
     def test_stacked_frames_validated(self):
         cfg = make_cfg(7, 4, 4)
