@@ -264,10 +264,16 @@ def fit_diversity_slope(snr_db, ser) -> float:
     """Estimated diversity order from the tail of an SER curve.
 
     Least-squares slope of log10(SER) against snr_db/10, negated.  Points
-    with zero SER are dropped with a warning.
+    with zero SER are dropped with a warning; a negative or non-finite SER,
+    or an SER curve whose length differs from the grid's, is rejected.
     """
     snr_db = np.asarray(snr_db, dtype=float)
     ser = np.asarray(ser, dtype=float)
+    if snr_db.shape != ser.shape:
+        raise ValueError(f"snr_db and ser differ in shape: {snr_db.shape} and {ser.shape}")
+    bad = ~(np.isfinite(ser) & (ser >= 0))
+    if bad.any():
+        raise ValueError(f"SER must be finite and >= 0, got {ser[bad].tolist()}")
     keep = ser > 0
     if not keep.all():
         warnings.warn(f"dropping {int((~keep).sum())} zero-SER points from slope fit")

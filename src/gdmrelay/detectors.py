@@ -10,7 +10,7 @@ reference implementations used by the oracle tests; the `*_batch` variants
 vectorize the same decisions over arrays of symbols and are what the Monte
 Carlo harness calls.  Ties always break toward the lowest alphabet index.
 
-The relay, nmld and amld batch kernels decide on correlation scores
+The nmld and amld batch kernels decide on correlation scores
 Re(y1*conj(y2)*conj(x_t)), one real (M, ..., K) array per link with the
 alphabet axis leading, not on distances (derivation in the batch section).
 
@@ -269,7 +269,7 @@ def pld_detect(ctx: DetectionContext, alphabet: PskAlphabet) -> int:
 # Every kernel takes an optional workspace ``ws`` (see `buffer`) and writes
 # all its arrays into it, the returned indices included, so the next call
 # overwrites them; without one every array is fresh.  Kernels share a name
-# where shapes agree (pld uses the relay kernel's "r" and "top").  The harness
+# where shapes agree (pld uses nmld's "r" and "top").  The harness
 # passes its per-thread workspace: made fresh on every call, these arrays raise
 # the minor page faults of a `dm-relays` benchmark pass fivefold (6.6k to 34k).
 #
@@ -278,10 +278,11 @@ def pld_detect(ctx: DetectionContext, alphabet: PskAlphabet) -> int:
 #     |y1 - s*y2*x_t|^2 = c - 2s * Re(r * conj(x_t)),
 # where c = |y1|^2 + s^2 |y2|^2 |x|^2 does not depend on t.  c cancels
 # in the argmin, in the branch floor min(f, min_t f + eta) and in AMLD's
-# shifted log-sum-exp, so the relay, nmld and amld kernels maximize scores
-# q_t = w * Re(r * conj(x_t)) instead of minimizing distances.  Each link's
-# scores are one real (M, ..., K) array with the alphabet axis leading, so
-# every reduction over t runs elementwise across M slabs.
+# shifted log-sum-exp, so the nmld and amld kernels maximize scores
+# q_t = w * Re(r * conj(x_t)) instead of minimizing distances.  nmld halves
+# f and eta (exact, and no argmin moves): w = s, each floor at eta/2.
+# Each link's scores are one real (M, ..., K) array with the alphabet axis
+# leading, so every reduction over t runs elementwise across M slabs.
 
 
 def buffer(ws: dict | None, name, shape: tuple, dtype=float) -> np.ndarray:
@@ -327,26 +328,25 @@ def _first_argmax(scores, ws) -> np.ndarray:
 
 
 def relay_detect_batch(y1, y2, scale, points, ws=None) -> np.ndarray:
-    """Minimum-distance decision: argmax_t scale * Re(r * conj(x_t)).
+    """Minimum-distance decision: `nmld_detect_batch` with no relay branches.
 
     Ties go to the lowest index.
     """
-    return _first_argmax(_correlation(y1, y2, scale, points, ws, "branch"), ws)
+    return nmld_detect_batch(y1, y2, (), (), scale, (), points, ws)
 
 
 def nmld_detect_batch(y_sd1, y_sd2, y_rd1, y_rd2, scale, etas, points,
                       ws=None) -> np.ndarray:
-    """Branch-floor decision on scores q = 2 scale * Re(r * conj(x_t)).
+    """Branch-floor decision on scores q = scale * Re(r * conj(x_t)).
 
-    Maximizes q_sd,t + sum_n max(q_n,t, max_u q_n,u - eta_n), the negated
+    Maximizes q_sd,t + sum_n max(q_n,t, max_u q_n,u - eta_n/2), half the negated
     min(f, min f + eta) rule of `nmld_detect`.  Ties go to the lowest index.
     """
-    w = 2 * np.asarray(scale)
-    totals = _correlation(y_sd1, y_sd2, w, points, ws, "totals")
+    totals = _correlation(y_sd1, y_sd2, scale, points, ws, "totals")
     for i in range(len(y_rd1)):
-        branch = _correlation(y_rd1[i], y_rd2[i], w, points, ws, "branch")
+        branch = _correlation(y_rd1[i], y_rd2[i], scale, points, ws, "branch")
         floor = np.max(branch, axis=0, out=buffer(ws, "top", branch.shape[1:]))
-        floor -= etas[i]
+        floor -= etas[i] / 2
         np.maximum(branch, floor, out=branch)
         totals += branch
     return _first_argmax(totals, ws)

@@ -216,7 +216,7 @@ def _point_epsilons(cfg: ExperimentConfig, snr_db: float) -> list[float]:
 
 @dataclass(frozen=True)
 class _PointPlan:
-    """Invariants of one SNR point, built once and shared by every batch.
+    """Invariants of one SNR point, built once by `_point_plan` and shared by every batch.
 
     ``frame`` is None for the coherent reference, whose ``points`` carry the
     amplitude sqrt(p_s); ``snrs`` are `ExperimentConfig.link_snrs` and ``etas``
@@ -226,6 +226,7 @@ class _PointPlan:
     (`modulation._transmit_table`; ``points`` if coherent), and ``base[f, k]`` is
     ``f * tx.size`` plus position k's row offset (0 if coherent): the index of
     frame f's sample k in a block's table h*tx.  Its frame count is the block size.
+    ``k2`` is the pair partners: the slice 0..K-1 at L=1, so y[k2] gathers only at L > 1.
     """
 
     snrs: tuple
@@ -233,7 +234,7 @@ class _PointPlan:
     points: np.ndarray
     tx: np.ndarray
     base: np.ndarray
-    k2: np.ndarray | None
+    k2: np.ndarray | slice | None
     scale: np.ndarray | float
     epsilons: tuple
     etas: np.ndarray
@@ -245,31 +246,28 @@ class _PointPlan:
         return noise
 
     def pairs(self, y: np.ndarray, h: np.ndarray) -> tuple:
-        """Detector pairs of y: (y, h) when coherent, else (y[k1], y[k2]), views
-        of y but for the k2 of L > 1."""
+        """Detector pairs of y: (y, h) when coherent, else (y[k1], y[k2])."""
         if self.frame is None:
             return y, h[:, None]
-        if self.frame.l_block == 1:  # k1 = 1..K, k2 = k1 - 1
-            return y[:, 1:], y[:, :-1]
         return y[:, 1:], y[:, self.k2]
 
 
 def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPlan:
     """The plan of one SNR point; ``epsilons`` defaults to `_point_epsilons`."""
     epsilons = tuple(_point_epsilons(cfg, snr_db) if epsilons is None else epsilons)
-    frames = np.arange(_block_frames(cfg.k_frame))[:, None]
+    points = make_alphabet(cfg.m).points
     if cfg.detector == "coherent":
-        points = math.sqrt(cfg.p_s) * make_alphabet(cfg.m).points
+        fc, k2, scale, rows = None, None, 1.0, np.zeros(cfg.k_frame, int)
+        tx = points = math.sqrt(cfg.p_s) * points
         etas = np.array([relay_reliability(e, cfg.m) for e in epsilons])
-        return _PointPlan(cfg.link_snrs(snr_db), None, points, points,
-                          frames * cfg.m + np.zeros(cfg.k_frame, int), None, 1.0, epsilons, etas)
-    fc = cfg.frame_config()
-    k1, k2 = fc.pair_positions()
-    scale = np.where(fc.ref_mask()[k1], 1.0, fc.power.ns_scale)  # sqrt(rho_t/rho_r) per pair
-    etas = np.array([analysis.eta_threshold(e, cfg.m, scale**2, 1.0) for e in epsilons])
-    tx, rows = _transmit_table(fc)
-    return _PointPlan(cfg.link_snrs(snr_db), fc, make_alphabet(cfg.m).points, tx,
-                      frames * tx.size + rows, k2, scale, epsilons, etas)
+    else:
+        fc = cfg.frame_config()
+        k2 = slice(0, cfg.k_frame) if cfg.l_block == 1 else fc.pair_positions()[1]
+        scale = np.where(fc.ref_mask()[1:], 1.0, fc.power.ns_scale)  # sqrt(rho_t/rho_r) per pair
+        tx, rows = _transmit_table(fc)
+        etas = np.array([analysis.eta_threshold(e, cfg.m, scale**2, 1.0) for e in epsilons])
+    base = np.arange(_block_frames(cfg.k_frame))[:, None] * tx.size + rows
+    return _PointPlan(cfg.link_snrs(snr_db), fc, points, tx, base, k2, scale, epsilons, etas)
 
 
 def _block_frames(k_frame: int) -> int:

@@ -158,11 +158,12 @@ def _phase_indices(info: np.ndarray, cfg: GdmFrameConfig) -> np.ndarray:
 
 
 def _transmit_table(cfg: GdmFrameConfig) -> tuple:
-    """The (2M,) transmitted points, ``points*sqrt(rho_r)`` then
-    ``points*sqrt(rho_n)``, and the (K+1,) row offset of each position into
-    it: 0 at block heads, M elsewhere.  A sample is ``tx[rows + phase]``."""
+    """The transmitted points a frame uses, ``points*sqrt(rho_r)`` then, at
+    L > 1, ``points*sqrt(rho_n)``, and the (K+1,) row offset of each position
+    into them: 0 at block heads, M elsewhere.  A sample is ``tx[rows + phase]``."""
     points = make_alphabet(cfg.m).points
-    tx = np.concatenate((points * np.sqrt(cfg.power.rho_r), points * np.sqrt(cfg.power.rho_n)))
+    powers = (cfg.power.rho_r, cfg.power.rho_n)[:min(cfg.l_block, 2)]  # L=1 sends no NS
+    tx = np.concatenate([points * np.sqrt(rho) for rho in powers])
     return tx, np.where(cfg.ref_mask(), 0, cfg.m)
 
 

@@ -447,3 +447,13 @@ class TestSlopeFit:
         with pytest.raises(ValueError):
             with pytest.warns(UserWarning):
                 fit_diversity_slope([10, 20], [1e-2, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+    def test_rejects_non_finite_or_negative_ser(self, bad):
+        # a NaN used to count as a zero-SER point and an inf gave a NaN slope
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            fit_diversity_slope([10, 15, 20], [1e-2, bad, 1e-4])
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="differ in shape"):
+            fit_diversity_slope([10, 15, 20], [1e-2, 1e-3])

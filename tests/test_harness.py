@@ -154,6 +154,19 @@ class TestPointPlan:
             want = relay_reliability(clamp_epsilon(ser), cfg.m)
             assert harness._point_plan(cfg, snr_db).etas.tolist() == [want, want], i
 
+    def test_pairs_gather_only_at_block_length_above_one(self):
+        # at L=1 both halves of a pair are views of y; at L>1 y2 is the gather y[:, k2]
+        h = np.ones(2, complex)
+        for k_frame, l_block in ((15, 1), (511, 256)):
+            plan = harness._point_plan(small_cfg(k_frame=k_frame, l_block=l_block), 10.0)
+            y = complex_normal(substream(0, l_block), 1.0, size=(2, k_frame + 1))
+            y1, y2 = plan.pairs(y, h)
+            k1, k2 = plan.frame.pair_positions()
+            np.testing.assert_array_equal(y1, y[:, k1])
+            np.testing.assert_array_equal(y2, y[:, k2])
+            assert np.shares_memory(y1, y)
+            assert np.shares_memory(y2, y) == (l_block == 1)
+
 
 class TestReceive:
     def test_noiseless(self):
@@ -177,6 +190,13 @@ class TestReceive:
                 x = np.sqrt(p_s) * make_alphabet(m).points
                 np.testing.assert_array_equal(y, h[:, None] * x[info - 1])
                 np.testing.assert_array_equal(plan.pairs(y, h)[1], h[:, None])
+
+    @pytest.mark.parametrize("l_block, rows", [(1, 1), (8, 2), (256, 2)])
+    def test_table_holds_the_rows_a_frame_uses(self, l_block, rows):
+        # L=1 sends only reference symbols, so its table is the M points at sqrt(rho_r)
+        for m in (3, 4, 64):
+            plan = harness._point_plan(small_cfg(m=m, k_frame=255, l_block=l_block), 10.0)
+            assert plan.tx.shape == (rows * m,)
 
 
 class TestRunExperiment:
