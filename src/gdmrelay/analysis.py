@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from gdmrelay.channel import effective_receive_snr
+from gdmrelay.channel import _phi, effective_receive_snr
 from gdmrelay.detectors import clamp_epsilon, relay_reliability
-from gdmrelay.modulation import PowerAllocation
+from gdmrelay.modulation import PowerAllocation, _count, _finite_positive
 
 __all__ = [
     "SerPrediction",
@@ -61,10 +61,8 @@ def q_function(x):
 
 def coherent_mpsk_rayleigh_ser(gamma_bar: float, m: int) -> float:
     """Average SER of coherent M-PSK over Rayleigh fading at mean SNR gamma_bar."""
-    if not 0 < gamma_bar < math.inf:
-        raise ValueError("gamma_bar must be finite and > 0")
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    _finite_positive(gamma_bar=gamma_bar)
+    _count(2, m=m)
     g = gamma_bar * math.sin(math.pi / m) ** 2
     r, c = math.sqrt(g / (1.0 + g)), 1.0 / math.tan(math.pi / m)
     d = 1.0 / ((1.0 + g) * (1.0 + r))  # 1 - r, without the cancellation
@@ -78,8 +76,8 @@ def relay_epsilon(power: PowerAllocation, l_block: int, gamma_sr_bar: float,
     Mixes the coherent Rayleigh SER evaluated at the effective receive SNRs
     of the two symbol types, weighted by their share of the frame.
     """
-    if l_block < 1:
-        raise ValueError("l_block must be >= 1")
+    _count(1, l_block=l_block)
+    _finite_positive(gamma_sr_bar=gamma_sr_bar)
     p_r = coherent_mpsk_rayleigh_ser(power.rho_r / 2.0 * gamma_sr_bar, m)
     p_n = coherent_mpsk_rayleigh_ser(
         effective_receive_snr(power.rho_n, power.rho_r, gamma_sr_bar), m)
@@ -87,11 +85,12 @@ def relay_epsilon(power: PowerAllocation, l_block: int, gamma_sr_bar: float,
 
 
 def eta_threshold(epsilon: float, m: int, rho_t: float, rho_r: float) -> float:
-    """Wrong-relay branch penalty (1 + rho_t/rho_r) * log((1-eps)(M-1)/eps)."""
+    """Wrong-relay branch penalty (1 + rho_t/rho_r) * log((1-eps)(M-1)/eps), for
+    one power ``rho_t`` or an array of them."""
     if not 0 < epsilon < 0.5:
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    _count(2, m=m)
+    _finite_positive(rho_t=rho_t, rho_r=rho_r)
     return (1.0 + rho_t / rho_r) * relay_reliability(epsilon, m)
 
 
@@ -100,20 +99,20 @@ def ser_conditional_single(gamma_sd: float, gamma_rd: float, epsilon: float,
                            symbol_type: str = "N") -> SerPrediction:
     """Conditional SER of the single-relay branch-floor detector.
 
-    ``gamma_sd`` and ``gamma_rd`` are instantaneous link SNRs.  The
-    error-free part sums the two dominant nearest-neighbor events; the
-    erroneous part adds the relay-mismatch events weighted by epsilon.
-    For M=2 the pair of nearest neighbors collapses to one and the leading
-    factors are halved.
+    ``gamma_sd`` and ``gamma_rd`` are instantaneous link SNRs, so 0 (a faded-out
+    link) is valid; ``eta`` is finite and > 0.  The error-free part sums the two
+    dominant nearest-neighbor events; the erroneous part adds the relay-mismatch
+    events weighted by epsilon.  For M=2 the pair of nearest neighbors collapses
+    to one and the leading factors are halved.
     """
     if symbol_type not in ("R", "N"):
         raise ValueError("symbol_type must be 'R' or 'N'")
     if not (gamma_sd >= 0 and gamma_rd >= 0):
         raise ValueError("instantaneous SNRs must be >= 0")
-    if m < 2 or not 0 < eta < math.inf:
-        raise ValueError(f"need m >= 2 and a finite eta > 0, got m={m}, eta={eta}")
+    _count(2, m=m)
+    _finite_positive(eta=eta)
     rho_t = power.rho_r if symbol_type == "R" else power.rho_n
-    phi = effective_receive_snr(rho_t, power.rho_r, 1.0)
+    phi = _phi(rho_t, power.rho_r)  # a PowerAllocation's powers are checked
     ratio = rho_t / power.rho_r
     s = math.sin(math.pi / m)
     lead = 1.0 if m == 2 else 2.0
@@ -135,11 +134,11 @@ def ser_conditional_single(gamma_sd: float, gamma_rd: float, epsilon: float,
 
 
 def bessel_k(order: int, x: float) -> float:
-    """Modified Bessel function of the second kind, integer order."""
-    if x <= 0:
-        raise ValueError("x must be > 0")
-    if order < 0 or int(order) != order:
-        raise ValueError("order must be a non-negative integer")
+    """Modified Bessel function of the second kind, integer order >= 0, at x > 0
+    (K at x = inf is 0.0)."""
+    _count(0, order=order)
+    if not x > 0:  # a NaN fails it too
+        raise ValueError(f"x must be > 0, got {x!r}")
     return float(scipy.special.kv(int(order), x))
 
 
@@ -157,14 +156,10 @@ def ser_avg_error_free(n_relays: int, m: int, epsilon: float, eta: float,
     product is evaluated in log space.  Relay links are assumed symmetric
     at average SNR ``gamma_bar`` (``gamma_sd_bar`` defaults to it).
     """
-    if n_relays < 1:
-        raise ValueError("n_relays must be >= 1")
-    if m < 2 or not 0 < eta < math.inf:
-        raise ValueError(f"need m >= 2 and a finite eta > 0, got m={m}, eta={eta}")
-    if gamma_sd_bar is None:
-        gamma_sd_bar = gamma_bar
-    if not (0 < gamma_bar < math.inf and 0 < gamma_sd_bar < math.inf):
-        raise ValueError("gamma_bar and gamma_sd_bar must be finite and > 0")
+    _count(1, n_relays=n_relays)
+    _count(2, m=m)
+    gamma_sd_bar = gamma_bar if gamma_sd_bar is None else gamma_sd_bar
+    _finite_positive(eta=eta, gamma_bar=gamma_bar, gamma_sd_bar=gamma_sd_bar)
     eps = clamp_epsilon(epsilon)
     s2 = math.sin(math.pi / m) ** 2
     total = 0.0
@@ -194,12 +189,9 @@ def ser_avg_erroneous(n_relays: int, m: int, epsilon: float, eta: float,
     correct relays selects one of three integral forms.  Evaluated in log
     space with the exponentially scaled Bessel function.
     """
-    if n_relays < 1:
-        raise ValueError("n_relays must be >= 1")
-    if not 0 < gamma_sd_bar < math.inf:
-        raise ValueError("gamma_sd_bar must be finite and > 0")
-    if m < 2 or not 0 < eta < math.inf:
-        raise ValueError(f"need m >= 2 and a finite eta > 0, got m={m}, eta={eta}")
+    _count(1, n_relays=n_relays)
+    _count(2, m=m)
+    _finite_positive(eta=eta, gamma_sd_bar=gamma_sd_bar)
     eps = clamp_epsilon(epsilon)
     total = 0.0
     for n_err in range(1, n_relays + 1):
@@ -231,8 +223,7 @@ def ser_avg_erroneous(n_relays: int, m: int, epsilon: float, eta: float,
 
 def diversity_order(n_relays: int) -> int:
     """Achievable diversity order ceil(N/2) + 1 of the branch-floor detectors."""
-    if n_relays < 1:
-        raise ValueError("n_relays must be >= 1")
+    _count(1, n_relays=n_relays)
     return math.ceil(n_relays / 2) + 1
 
 
@@ -242,19 +233,17 @@ def diversity_with_errors(n_relays: int, n_err: int | None = None,
 
     With ``n_err`` wrong relays the order is n_err+1 above the balance
     point and N+1-n_err below it.  With ``r_error_free`` guaranteed-correct
-    relays the order is the minimum over the remaining error counts.
+    relays the order is the minimum over the remaining error counts.  Both
+    counts lie in [0, N].
     """
-    if n_relays < 1:
-        raise ValueError("n_relays must be >= 1")
+    _count(1, n_relays=n_relays)
     if (n_err is None) == (r_error_free is None):
         raise ValueError("give exactly one of n_err or r_error_free")
     if r_error_free is not None:
-        if not 0 <= r_error_free <= n_relays:
-            raise ValueError("r_error_free out of range")
+        _count(0, n_relays, r_error_free=r_error_free)
         return min(diversity_with_errors(n_relays, n_err=k)
                    for k in range(0, n_relays - r_error_free + 1))
-    if not 0 <= n_err <= n_relays:
-        raise ValueError("n_err out of range")
+    _count(0, n_relays, n_err=n_err)
     if n_err >= n_relays / 2:
         return n_err + 1
     return n_relays + 1 - n_err
@@ -264,13 +253,16 @@ def fit_diversity_slope(snr_db, ser) -> float:
     """Estimated diversity order from the tail of an SER curve.
 
     Least-squares slope of log10(SER) against snr_db/10, negated.  Points
-    with zero SER are dropped with a warning; a negative or non-finite SER,
-    or an SER curve whose length differs from the grid's, is rejected.
+    with zero SER are dropped with a warning.  A non-finite SNR, a negative or
+    non-finite SER, an SER curve whose length differs from the grid's, and
+    fewer than two distinct SNRs among the points kept are rejected.
     """
     snr_db = np.asarray(snr_db, dtype=float)
     ser = np.asarray(ser, dtype=float)
     if snr_db.shape != ser.shape:
         raise ValueError(f"snr_db and ser differ in shape: {snr_db.shape} and {ser.shape}")
+    if not np.isfinite(snr_db).all():
+        raise ValueError(f"SNRs must be finite, got {snr_db[~np.isfinite(snr_db)].tolist()}")
     bad = ~(np.isfinite(ser) & (ser >= 0))
     if bad.any():
         raise ValueError(f"SER must be finite and >= 0, got {ser[bad].tolist()}")
@@ -278,7 +270,7 @@ def fit_diversity_slope(snr_db, ser) -> float:
     if not keep.all():
         warnings.warn(f"dropping {int((~keep).sum())} zero-SER points from slope fit")
     snr_db, ser = snr_db[keep], ser[keep]
-    if len(ser) < 2:
-        raise ValueError("need at least 2 points with SER > 0")
+    if np.unique(snr_db).size < 2:
+        raise ValueError("need at least 2 distinct SNRs with SER > 0")
     slope = np.polyfit(snr_db / 10.0, np.log10(ser), 1)[0]
     return float(-slope)

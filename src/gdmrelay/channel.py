@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from gdmrelay.modulation import _finite_positive
+
 __all__ = [
     "db_to_linear",
     "substream",
@@ -75,9 +77,12 @@ def effective_receive_snr(rho_t: float, rho_r: float, gamma_bar: float) -> float
 
     phi_T = 1 / (1/rho_t + 1/rho_r) is the harmonic combination of the
     detected symbol's power and the reference power; the higher-order noise
-    product term is ignored.
+    product term is ignored.  All three arguments are finite and > 0.
     """
-    if not (rho_t > 0 and rho_r > 0):
-        raise ValueError("powers must be > 0")
-    phi = 1.0 / (1.0 / rho_t + 1.0 / rho_r)
-    return phi * gamma_bar
+    _finite_positive(rho_t=rho_t, rho_r=rho_r, gamma_bar=gamma_bar)
+    return _phi(rho_t, rho_r) * gamma_bar
+
+
+def _phi(rho_t: float, rho_r: float) -> float:
+    """phi_T of `effective_receive_snr`, for powers already checked."""
+    return 1.0 / (1.0 / rho_t + 1.0 / rho_r)

@@ -22,6 +22,7 @@ from gdmrelay import analysis, harness, power
 from gdmrelay.channel import db_to_linear
 from gdmrelay.detectors import EPSILON_FLOOR, OP_COUNTS, count_ops
 from gdmrelay.harness import ExperimentConfig, run_ser_experiment
+from gdmrelay.modulation import _finite_positive
 
 SNR_GRID_MAX_POINTS = 10_000
 
@@ -33,9 +34,8 @@ def _parse_snr_grid(text: str):
     try:
         if ":" in text:
             start, step, stop = (float(v) for v in text.split(":"))
-            if not (0 < step < math.inf and -math.inf < start <= stop < math.inf):
-                raise ValueError
-            if (stop - start) / step >= SNR_GRID_MAX_POINTS:  # counted before it is built
+            _finite_positive(step=step)
+            if not 0 <= (stop - start) / step < SNR_GRID_MAX_POINTS:  # before it is built
                 raise ValueError
             grid = []
             v = start
@@ -46,8 +46,8 @@ def _parse_snr_grid(text: str):
                 v += step
         else:
             grid = [float(v) for v in text.split(",")]
-        if not all(0 < db_to_linear(v) < math.inf for v in grid):
-            raise ValueError
+        for v in grid:
+            _finite_positive(snr=db_to_linear(v))
         return tuple(grid)
     except ValueError:
         raise argparse.ArgumentTypeError(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gdmrelay.modulation import PskAlphabet
+from gdmrelay.modulation import PskAlphabet, _count
 
 __all__ = [
     "DetectionContext",
@@ -115,10 +115,11 @@ def count_ops(kind: str, m: int, n: int) -> OpCount:
     """Closed-form per-symbol operation counts of a detector in ``OP_COUNTS``.
 
     AMLD totals to (20M^2+2M)N + 19M - 1 and the low-complexity detector
-    (branch min-floor form) to (24M-1)N + 20M - 1.
+    (branch min-floor form) to (24M-1)N + 20M - 1.  M and N are integers, M >= 2
+    and N >= 1.
     """
-    if m < 2 or n < 1:
-        raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
+    _count(2, m=m)
+    _count(1, n=n)
     if kind.lower() not in OP_COUNTS:
         raise ValueError(f"unknown detector kind {kind!r}")
     return OpCount(*OP_COUNTS[kind.lower()](m, n))
@@ -270,8 +271,8 @@ def pld_detect(ctx: DetectionContext, alphabet: PskAlphabet) -> int:
 # all its arrays into it, the returned indices included, so the next call
 # overwrites them; without one every array is fresh.  Kernels share a name
 # where shapes agree (pld uses nmld's "r" and "top").  The harness
-# passes its per-thread workspace: made fresh on every call, these arrays raise
-# the minor page faults of a `dm-relays` benchmark pass fivefold (6.6k to 34k).
+# passes its per-thread workspace: made fresh on every call, these arrays would
+# multiply the minor page faults of a benchmark pass (measured in CHANGES.md).
 #
 # Correlation form.  The points have one modulus (PSK, or the coherent
 # plan's sqrt(p_s) * points), so with r = y1 * conj(y2)

@@ -20,11 +20,9 @@ i decides every block before its R-D_i noise is drawn into its S-R_i buffer,
 and then re-encodes (a genie forwards the source's indices).  The destination
 then decides; it holds only the N + 1 received signals, info, the decisions,
 the fading and one block's kernel arrays.  A block (`_block_frames`, read from
-the plan) has at most ``BLOCK_SYMBOLS`` = 8,192
-samples, so its (M, frames, K) score slabs, pair products and y slices stay
-near a core's 2 MiB L2: at 16,384 an M=4 destination block held 2.5 MiB.  Its
-batches ran 10% faster to 7% slower than at 16,384; 4,096 ran up to 13% slower
-than 8,192, its per-block calls outweighing the smaller arrays (`BENCH_20.json`).
+the plan) has at most ``BLOCK_SYMBOLS`` = 8,192 samples, so its (M, frames, K)
+score slabs, pair products and y slices stay near a core's 2 MiB L2; a smaller
+block pays more in per-block calls than its arrays save (`BENCH_20.json`).
 Chunked draws (the info symbols into the smallest unsigned dtype for M, the
 noise through a block-sized scratch) are the same stream.
 
@@ -37,8 +35,8 @@ at the first batch that reaches ``min_errors``, mid-wave if need be.
 Workspace rule: one workspace per thread, a dict of named buffers, holds only
 the noise of the N + 1 links the destination receives (its only batch-sized
 buffers; relay-only draws S-D and S-R_1 into one), the block-sized draw
-scratch and the detector kernels' arrays, which cost page faults when made
-fresh (five times the minor faults per `dm-relays` benchmark pass).  Encoded
+scratch and the detector kernels' arrays, which cost minor page faults when made
+fresh (measured in CHANGES.md).  Encoded
 indices are plain arrays.  A named buffer keeps its last shape; when a batch
 needs another, `detectors.buffer` drops it and makes it anew.  Nothing reads a
 buffer before writing it.  `run_ser_experiment` drops the workspace on return;
@@ -69,8 +67,8 @@ import numpy as np
 from gdmrelay import analysis, detectors
 from gdmrelay.channel import complex_normal, db_to_linear, substream
 from gdmrelay.detectors import OP_COUNTS, buffer, clamp_epsilon, count_ops, relay_reliability
-from gdmrelay.modulation import (GdmFrameConfig, PowerAllocation, _phase_indices,
-                                 _transmit_table, make_alphabet)
+from gdmrelay.modulation import (GdmFrameConfig, PowerAllocation, _count, _finite_positive,
+                                 _phase_indices, _transmit_table, make_alphabet)
 from gdmrelay.power import optimize_power
 
 __all__ = [
@@ -88,13 +86,14 @@ __all__ = [
 DETECTOR_KINDS = (*OP_COUNTS, "coherent", "relay-only")
 RELAY_MODES = ("realistic", "genie-all", "genie-r")
 BATCH_FRAMES = 256  # fixed rng keying unit; do not change between runs
-BLOCK_SYMBOLS = 1 << 13  # samples per compute block: near L2; 4,096 loses more in per-block calls
+BLOCK_SYMBOLS = 1 << 13  # samples per compute block: near L2 (`BENCH_20.json`)
 _SLOT = threading.local()  # this thread's batch workspace: .ws
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to run one SER sweep."""
+    """Everything needed to run one SER sweep.  The counts must be integers, and the
+    link SNRs, p_s and rho_n finite and > 0; ValueError names a value that is not."""
 
     n_relays: int
     m: int
@@ -119,18 +118,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown detector {self.detector!r}")
         if self.relay_mode not in RELAY_MODES:
             raise ValueError(f"unknown relay mode {self.relay_mode!r}")
-        if not 0 <= self.genie_r <= (self.n_relays if self.relay_mode == "genie-r" else 0):
-            raise ValueError("genie_r must lie in [0, n_relays] in genie-r mode, else be 0")
-        if self.n_relays < 0:
-            raise ValueError("n_relays must be >= 0")
-        if self.detector == "relay-only" and self.n_relays < 1:
-            raise ValueError("relay-only needs at least one relay")
-        if self.min_errors < 1 or self.max_frames < 1:
-            raise ValueError("min_errors and max_frames must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        _count(1 if self.detector == "relay-only" else 0, n_relays=self.n_relays)
+        _count(0, self.n_relays if self.relay_mode == "genie-r" else 0, genie_r=self.genie_r)
+        _count(1, k_frame=self.k_frame, l_block=self.l_block, min_errors=self.min_errors,
+               max_frames=self.max_frames, workers=self.workers)
+        _count(2, m=self.m)
+        _count(0, master_seed=self.master_seed)
         if self.rho_n is not None and self.l_block == 1:
             raise ValueError(f"L=1 has no normal symbols: rho_n must not be set, got {self.rho_n}")
         if self.detector == "coherent" and self.l_block != 1:
@@ -139,18 +132,15 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
             raise ValueError("SNR grid must be strictly increasing")
         for snr_db in self.snr_grid_db:
-            if not all(0 < g < math.inf for g in self.link_snrs(snr_db)):
-                raise ValueError("all SNRs must be finite and > 0")
-        self.frame_config()  # validate K/L/M/powers early
+            g_sd, g_sr, g_rd = self.link_snrs(snr_db)
+            _finite_positive(gamma_sd_bar=g_sd, gamma_sr_bar=g_sr, gamma_rd_bar=g_rd)
+        self.frame_config()  # validate the powers and the K/L split early
 
     def power_allocation(self) -> PowerAllocation:
         if self.rho_n is None:
             return optimize_power(self.l_block, self.p_s).as_allocation()
-        l = self.l_block
-        rho_r = l * self.p_s - (l - 1) * self.rho_n
-        if rho_r <= 0:
-            raise ValueError(f"rho_n={self.rho_n} leaves no reference power")
-        return PowerAllocation(rho_r=rho_r, rho_n=self.rho_n, p_s=self.p_s)
+        l, rho_n = self.l_block, self.rho_n
+        return PowerAllocation(rho_r=l * self.p_s - (l - 1) * rho_n, rho_n=rho_n, p_s=self.p_s)
 
     def frame_config(self) -> GdmFrameConfig:
         return GdmFrameConfig(k_frame=self.k_frame, l_block=self.l_block,
@@ -535,6 +525,7 @@ def reproduce_figure(figure_id: str, scale: str = "desk", out_dir=None,
     """
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
+    _count(0, master_seed=master_seed)
     if scale not in ("desk", "full"):
         raise ValueError("scale must be 'desk' or 'full'")
     import pathlib

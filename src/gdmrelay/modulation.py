@@ -34,12 +34,37 @@ __all__ = [
 _POWER_TOL = 1e-9
 
 
+def _count(lo: int, hi=np.inf, /, **counts) -> None:
+    """The count rule of every public entry point: each value is an int or NumPy
+    integer in [lo, hi] (M >= 2; N, K, L >= 1), else ValueError naming it."""
+    for name, v in counts.items():
+        if not (type(v) is int or isinstance(v, np.integer)) or not lo <= v <= hi:  # no bool
+            cap = "" if hi == np.inf else f" and <= {hi}"
+            raise ValueError(f"need an integer {name} >= {lo}{cap}, got {v!r}")
+
+
+def _finite_positive(**values) -> None:
+    """The rule of every average SNR, power and eta: each value (an array in every
+    element) is finite and > 0, else ValueError naming it."""
+    for name, v in values.items():  # a NaN fails every comparison
+        try:
+            ok = 0 < v < np.inf
+        except ValueError:  # an array of several values: check its extremes
+            ok = 0 < v.min() and v.max() < np.inf
+        if not ok:
+            raise ValueError(f"need a finite {name} > 0, got {v!r}: SNRs, powers and eta "
+                             "must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class PskAlphabet:
     """The M points ``exp(j*2*pi*(t-1)/M)``, t = 1..M, in index order."""
 
     m: int
     points: np.ndarray
+
+    def __post_init__(self):
+        _count(2, m=self.m)
 
     def point(self, index: int) -> complex:
         """Complex value of 1-based alphabet index."""
@@ -49,10 +74,9 @@ class PskAlphabet:
 def make_alphabet(m: int) -> PskAlphabet:
     """Build the M-PSK alphabet (M-th roots of unity).
 
-    Raises ValueError for m < 2.
+    Raises ValueError unless m is an integer >= 2.
     """
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise ValueError(f"modulation order must be an integer >= 2, got {m!r}")
+    _count(2, m=m)
     points = np.exp(2j * np.pi * np.arange(m) / m)
     points[0] = 1.0 + 0.0j
     points.setflags(write=False)
@@ -74,9 +98,7 @@ class PowerAllocation:
     p_s: float
 
     def __post_init__(self):
-        for name in ("rho_r", "rho_n", "p_s"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        _finite_positive(p_s=self.p_s, rho_n=self.rho_n, rho_r=self.rho_r)
 
     @property
     def ns_scale(self) -> float:
@@ -94,12 +116,8 @@ class GdmFrameConfig:
     power: PowerAllocation
 
     def __post_init__(self):
-        if self.l_block < 1:
-            raise ValueError(f"block length must be >= 1, got {self.l_block}")
-        if self.k_frame < 1:
-            raise ValueError(f"frame length must be >= 1, got {self.k_frame}")
-        if self.m < 2:
-            raise ValueError(f"modulation order must be >= 2, got {self.m}")
+        _count(1, k_frame=self.k_frame, l_block=self.l_block)
+        _count(2, m=self.m)
         if (self.k_frame + 1) % self.l_block != 0:
             raise ValueError(
                 f"(K+1) must be a multiple of L: K={self.k_frame}, L={self.l_block}"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from gdmrelay.analysis import relay_epsilon
 from gdmrelay.detectors import EPSILON_FLOOR, relay_reliability
-from gdmrelay.modulation import PowerAllocation
+from gdmrelay.modulation import PowerAllocation, _count, _finite_positive
 
 __all__ = ["PowerSolution", "optimize_power", "feasibility_diagnostic"]
 
@@ -28,6 +28,10 @@ class PowerSolution:
     rho_n_star: float
     l_block: int
     p_s: float
+
+    def __post_init__(self):
+        _count(1, l_block=self.l_block)
+        _finite_positive(p_s=self.p_s, rho_r_star=self.rho_r_star, rho_n_star=self.rho_n_star)
 
     @property
     def ratio(self) -> float:
@@ -48,11 +52,9 @@ def optimize_power(l_block: int, p_s: float = 1.0) -> PowerSolution:
 
     L=1 has no normal symbols; the degenerate classical-DM allocation
     (all power p_s, flagged ``degenerate``) is returned so sweeps over L stay total.
+    L is an integer >= 1; `PowerSolution` checks that p_s is finite and > 0.
     """
-    if l_block < 1:
-        raise ValueError(f"l_block must be >= 1, got {l_block}")
-    if not 0 < p_s < math.inf:
-        raise ValueError("p_s must be finite and > 0")
+    _count(1, l_block=l_block)
     if l_block == 1:
         return PowerSolution(rho_r_star=p_s, rho_n_star=p_s, l_block=1, p_s=p_s)
     root = math.sqrt(l_block - 1.0)
@@ -71,10 +73,8 @@ def feasibility_diagnostic(solution: PowerSolution, m: int, gamma_sr_bar: float,
     detectors floor it.  Larger is safer; the optimum is formally justified
     only in the limit of a strong S-R link, so small values warn, not raise.
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if not (0 < gamma_sr_bar < math.inf and 0 < gamma_sd < math.inf):
-        raise ValueError("SNRs must be finite and > 0")
+    _count(2, m=m)
+    _finite_positive(gamma_sr_bar=gamma_sr_bar, gamma_sd=gamma_sd)
     l = solution.l_block
     eps = max(relay_epsilon(solution.as_allocation(), l, gamma_sr_bar, m), EPSILON_FLOOR)
     z2 = math.sin(math.pi / m) ** 2 * (2.0 * l * solution.p_s / (l + 2.0 * math.sqrt(l - 1.0)))

@@ -457,3 +457,20 @@ class TestSlopeFit:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="differ in shape"):
             fit_diversity_slope([10, 15, 20], [1e-2, 1e-3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_snr(self, bad, capfd):
+        # polyfit used to raise LinAlgError after LAPACK wrote DLASCL lines to stderr
+        with pytest.raises(ValueError, match="SNRs must be finite"):
+            fit_diversity_slope([10, bad, 20], [1e-2, 1e-3, 1e-4])
+        assert capfd.readouterr().err == ""
+
+    def test_rejects_one_repeated_snr(self):
+        # polyfit used to return a slope of 1.5 with only a RankWarning
+        with pytest.raises(ValueError, match="2 distinct SNRs"):
+            fit_diversity_slope([10, 10, 10], [1e-2, 1e-3, 1e-4])
+
+    def test_counts_distinct_snrs_among_points_kept(self):
+        with pytest.warns(UserWarning):
+            with pytest.raises(ValueError, match="2 distinct SNRs"):
+                fit_diversity_slope([10, 10, 20], [1e-2, 1e-3, 0.0])
