@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from gdmrelay.modulation import _finite_positive
+from gdmrelay.modulation import _count, _finite_positive
 
 __all__ = [
     "db_to_linear",
@@ -42,8 +42,9 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Deterministic random stream keyed by (master_seed, *key).
 
     Used to derive independent per-batch streams so that simulation results
-    do not depend on worker scheduling.
+    do not depend on worker scheduling.  The seed and each key are integers >= 0.
     """
+    _count(0, master_seed=master_seed, **{f"key[{i}]": k for i, k in enumerate(key)})
     return np.random.default_rng([int(master_seed), *map(int, key)])
 
 

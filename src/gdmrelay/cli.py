@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import pathlib
 import sys
 
 from gdmrelay import analysis, harness, power
@@ -145,6 +146,9 @@ def _cmd_simulate(args) -> int:
         max_frames=args.frames_max, master_seed=args.seed,
         workers=args.threads,
     )
+    if args.out_dir:  # made before the run, so a bad path costs no batch
+        out = pathlib.Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     result = run_ser_experiment(cfg)
     print(f"# detector={cfg.detector} relays={cfg.n_relays} M={cfg.m} "
           f"K={cfg.k_frame} L={cfg.l_block} seed={cfg.master_seed}")
@@ -153,10 +157,6 @@ def _cmd_simulate(args) -> int:
         print(f"{p.snr_db:g} {p.symbols} {p.errors} "
               f"{p.ser:.6e} {p.ci_lo:.6e} {p.ci_hi:.6e}")
     if args.out_dir:
-        import pathlib
-
-        out = pathlib.Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         stem = f"ser_{cfg.detector}_n{cfg.n_relays}_m{cfg.m}_l{cfg.l_block}"
         if args.csv or not args.json:
             harness.write_csv(result, out / f"{stem}.csv")

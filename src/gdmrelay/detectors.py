@@ -62,6 +62,9 @@ def clamp_epsilon(epsilon: float) -> float:
 
 def relay_reliability(epsilon: float, m: int) -> float:
     """Relay-reliability term log((1-eps)(M-1)/eps) behind every branch threshold."""
+    _count(2, m=m)
+    if not 0 < epsilon < 1:
+        raise ValueError(f"need epsilon in (0, 1), got {epsilon!r}")
     return math.log((1 - epsilon) * (m - 1) / epsilon)
 
 

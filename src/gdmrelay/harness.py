@@ -176,6 +176,8 @@ class SimResult:
 
 def wilson_interval(errors: int, n: int, z: float = 1.959964) -> tuple:
     """95% Wilson score interval for an error proportion; valid at small counts."""
+    _count(0, n=n)
+    _count(0, n, errors=errors)
     if n == 0:
         return (0.0, 1.0)
     p = errors / n

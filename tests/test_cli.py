@@ -422,3 +422,17 @@ class TestGridBound:
         assert len(grid) == SNR_GRID_MAX_POINTS
         assert grid[:3] == (0.0, 0.001, 0.002) and grid[-1] == 9.999
         assert all(b > a for a, b in zip(grid, grid[1:]))
+
+
+def test_out_dir_is_made_before_the_run(tmp_path, capsys, monkeypatch):
+    from gdmrelay import harness
+
+    def no_batch(*args):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(harness, "_run_batch", no_batch)
+    (tmp_path / "file").write_text("")
+    rc = main(TestSimulate.ARGS + ["--out-dir", str(tmp_path / "file" / "out")])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error:")

@@ -35,10 +35,13 @@ from gdmrelay import (
     make_alphabet,
     optimize_power,
     relay_epsilon,
+    relay_reliability,
     reproduce_figure,
     ser_avg_erroneous,
     ser_avg_error_free,
     ser_conditional_single,
+    substream,
+    wilson_interval,
 )
 
 COUNTS = {"m", "n", "n_relays", "l_block", "k_frame", "n_err", "r_error_free", "genie_r",
@@ -61,7 +64,9 @@ TABLE = {
     "PowerAllocation": (PowerAllocation, dict(rho_r=PA.rho_r, rho_n=PA.rho_n, p_s=PA.p_s)),
     "GdmFrameConfig": (GdmFrameConfig, dict(k_frame=7, l_block=4, m=4, power=PA)),
     "effective_receive_snr": (effective_receive_snr, dict(rho_t=0.5, rho_r=2.0, gamma_bar=10.0)),
+    "substream": (substream, dict(master_seed=3)),
     "count_ops": (count_ops, dict(kind="nmld", m=4, n=2)),
+    "relay_reliability": (relay_reliability, dict(epsilon=0.01, m=4)),
     "coherent_mpsk_rayleigh_ser": (coherent_mpsk_rayleigh_ser, dict(gamma_bar=10.0, m=4)),
     "relay_epsilon": (relay_epsilon, dict(power=PA, l_block=4, gamma_sr_bar=100.0, m=4)),
     "eta_threshold": (eta_threshold, dict(epsilon=0.01, m=4, rho_t=0.5, rho_r=2.0)),
@@ -84,6 +89,7 @@ TABLE = {
         n_relays=2, m=4, k_frame=15, l_block=4, detector="nmld", snr_grid_db=(10.0,),
         relay_mode="genie-r", genie_r=1, rho_n=0.5, p_s=1.0, min_errors=10, max_frames=20,
         master_seed=3, workers=1)),
+    "wilson_interval": (wilson_interval, dict(errors=3, n=10)),
     "reproduce_figure": (reproduce_figure, dict(figure_id="fig4a", master_seed=0)),
 }
 
@@ -131,7 +137,7 @@ def test_valid_call_runs(label):
 @pytest.mark.parametrize("bad", [2.5, 4.0, "valid as a float"])
 def test_count_must_be_an_integer(func, kw, name, bad):
     bad = float(kw[name]) if bad == "valid as a float" else bad
-    with pytest.raises(ValueError, match=re.escape(name)):
+    with pytest.raises(ValueError, match=re.escape(f"need an integer {name} >=")):
         _call(func, kw, **{name: bad})
 
 
@@ -142,14 +148,15 @@ def test_count_may_be_a_numpy_integer(func, kw, name):
 
 @pytest.mark.parametrize("func, kw, name", _cases("count"))
 def test_count_rejects_a_bool(func, kw, name):
-    with pytest.raises(ValueError, match=re.escape(name)):
+    with pytest.raises(ValueError, match=re.escape(f"need an integer {name} >=")):
         _call(func, kw, **{name: True})
 
 
 @pytest.mark.parametrize("func, kw, name", _cases("snr"))
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
 def test_snr_power_and_eta_must_be_finite_and_positive(func, kw, name, bad):
-    with pytest.raises(ValueError, match=re.escape(name) + ".*finite and > 0"):
+    rule = re.escape(f"need a finite {name} > 0") + ".*finite and > 0"
+    with pytest.raises(ValueError, match=rule):
         _call(func, kw, **{name: bad})
 
 
@@ -172,6 +179,26 @@ def test_named_cases():
         eta_threshold(0.1, 4, math.nan, 1.0)
     with pytest.raises(ValueError, match="epsilon"):  # the (0, 1/2) rule comes first
         eta_threshold(0.5, 4, 1.0, 1.0)
+
+
+def test_substream_keys():
+    want = substream(3, 1, 2).standard_normal(4)
+    assert substream(np.int64(3), 1, np.int64(2)).standard_normal(4).tolist() == want.tolist()
+    for bad in (2.5, 2.0, -1, True):
+        with pytest.raises(ValueError, match=re.escape("need an integer key[1] >= 0")):
+            substream(3, 1, bad)
+
+
+def test_wilson_interval_errors_within_n():
+    for errors in (5, -1, 2.0):
+        with pytest.raises(ValueError, match=re.escape("need an integer errors >= 0 and <= 3")):
+            wilson_interval(errors, 3)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, math.nan, math.inf])
+def test_relay_reliability_epsilon(bad):
+    with pytest.raises(ValueError, match=re.escape("need epsilon in (0, 1)")):
+        relay_reliability(bad, 4)
 
 
 def test_array_rho_t():

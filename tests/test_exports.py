@@ -1,7 +1,9 @@
-"""Every name a `gdmrelay` module lists in ``__all__`` exists."""
+"""Every name a `gdmrelay` module lists in ``__all__`` exists, and the package
+re-exports exactly the names its modules list."""
 
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -18,3 +20,13 @@ def test_all_names_resolve(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(listed) <= set(namespace)
+
+
+def test_package_reexports_every_module_all():
+    public = {n for n, obj in vars(gdmrelay).items()
+              if not n.startswith("_") and not isinstance(obj, types.ModuleType)}
+    listed = set()
+    for name in MODULES[1:]:
+        if name != "gdmrelay.cli":  # the CLI stays outside the package namespace
+            listed.update(importlib.import_module(name).__all__)
+    assert public == listed
