@@ -55,8 +55,9 @@ def complex_normal(rng: np.random.Generator, var, size=None, out=None,
     One path: ``out`` (C-contiguous complex of shape ``size``, made when it is
     None; ``var`` a scalar) gets each part, real then imaginary, drawn in chunks
     through the 1-D float ``scratch`` (one chunk when it is None) and scaled:
-    the same values and generator state as one whole draw.
+    the same values and generator state as one whole draw.  ``var`` is finite and > 0.
     """
+    _finite_positive(var=var)
     scale = np.sqrt(np.asarray(var) / 2.0)
     if out is None:
         out = np.empty(() if size is None else size, complex)

@@ -117,9 +117,11 @@ OP_COUNTS = {
 def count_ops(kind: str, m: int, n: int) -> OpCount:
     """Closed-form per-symbol operation counts of a detector in ``OP_COUNTS``.
 
-    AMLD totals to (20M^2+2M)N + 19M - 1 and the low-complexity detector
-    (branch min-floor form) to (24M-1)N + 20M - 1.  M and N are integers, M >= 2
-    and N >= 1.
+    They count the paper's formulations: AMLD totals to (20M^2+2M)N + 19M - 1 and the
+    low-complexity detector (branch min-floor form) to (24M-1)N + 20M - 1.  Only the scalar
+    `amld_detect` runs AMLD's O(M^2 N) log-sum-exp: `amld_detect_batch` uses the sum-over-u
+    mixture identity, O(MN) arithmetic plus M*N exp and M*N log per symbol.  M and N are
+    integers, M >= 2 and N >= 1.
     """
     _count(2, m=m)
     _count(1, n=n)

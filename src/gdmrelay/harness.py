@@ -5,10 +5,11 @@ re-encoding, and destination detection for every point of an SNR sweep,
 accumulating symbol error counts until a stop rule is met.
 
 One pipeline (`_simulate_batch`) serves the differential schemes and the
-coherent reference.  A plan built once per SNR point holds the invariants;
-the two scheme-specific steps branch on it: the encoder (`_encode_batch`) and
-the (y1, y2) pairs the batch detectors compare (`_PointPlan.pairs`),
-(y[k1], y[k2]) for differential and (y, h) for coherent.
+coherent reference.  `_point_plan` builds an SNR point's invariants once and is
+the one branch on the scheme and the rule: it fixes the relay error rates, the
+thresholds and the destination's kernel (`_PointPlan.decide`).  The encoder
+(`_encode_batch`) and the detector pairs (`_PointPlan.pairs`: (y[k1], y[k2]),
+or (y, h) if coherent) read the scheme from the plan.
 
 A batch draws the info symbols and the fading, then runs one stage per link in
 draw order (S-D, then S-R_i and R-D_i per relay): it draws the link's noise
@@ -178,6 +179,7 @@ def wilson_interval(errors: int, n: int, z: float = 1.959964) -> tuple:
     """95% Wilson score interval for an error proportion; valid at small counts."""
     _count(0, n=n)
     _count(0, n, errors=errors)
+    _finite_positive(z=z)
     if n == 0:
         return (0.0, 1.0)
     p = errors / n
@@ -195,30 +197,24 @@ def wilson_interval(errors: int, n: int, z: float = 1.959964) -> tuple:
 
 
 def _point_epsilons(cfg: ExperimentConfig, snr_db: float) -> list[float]:
-    """Average relay error rates assumed by the destination; the relays share one S-R SNR."""
-    if cfg.n_relays == 0:
-        return []
-    g_sr = cfg.link_snrs(snr_db)[1]
-    if cfg.detector == "coherent":
-        e = analysis.coherent_mpsk_rayleigh_ser(cfg.p_s * g_sr, cfg.m)
-    else:
-        e = analysis.relay_epsilon(cfg.power_allocation(), cfg.l_block, g_sr, cfg.m)
-    return [clamp_epsilon(e)] * cfg.n_relays
+    """Average relay error rates assumed by the destination: those of `_point_plan`."""
+    return list(_point_plan(cfg, snr_db).epsilons)
 
 
 @dataclass(frozen=True)
 class _PointPlan:
     """Invariants of one SNR point, built once by `_point_plan` and shared by every batch.
 
-    ``frame`` is None for the coherent reference, whose ``points`` carry the
-    amplitude sqrt(p_s); ``snrs`` are `ExperimentConfig.link_snrs` and ``etas``
-    the branch-floor thresholds per relay: `analysis.eta_threshold` per pair, or
-    `relay_reliability` if coherent.  Stages carry alphabet indices
-    (`_encode_batch`).  ``tx`` is the table of transmitted points
-    (`modulation._transmit_table`; ``points`` if coherent), and ``base[f, k]`` is
-    ``f * tx.size`` plus position k's row offset (0 if coherent): the index of
-    frame f's sample k in a block's table h*tx.  Its frame count is the block size.
-    ``k2`` is the pair partners: the slice 0..K-1 at L=1, so y[k2] gathers only at L > 1.
+    ``frame`` is None for the coherent reference, whose ``points`` carry the amplitude
+    sqrt(p_s); ``snrs`` are `ExperimentConfig.link_snrs`, ``epsilons`` the relay error rates
+    the destination assumes, ``etas`` the branch-floor thresholds per relay
+    (`analysis.eta_threshold` per pair, or `relay_reliability` if coherent) and ``decide``
+    the destination's kernel, all but its pairs and workspace bound (None for relay-only).
+    Stages carry alphabet indices (`_encode_batch`).  ``tx`` is the table of transmitted
+    points (`modulation._transmit_table`; ``points`` if coherent), and ``base[f, k]`` is
+    ``f * tx.size`` plus position k's row offset (0 if coherent): the index of frame f's
+    sample k in a block's table h*tx.  Its frame count is the block size.  ``k2`` is the
+    pair partners: the slice 0..K-1 at L=1, so y[k2] gathers only at L > 1.
     """
 
     snrs: tuple
@@ -230,6 +226,7 @@ class _PointPlan:
     scale: np.ndarray | float
     epsilons: tuple
     etas: np.ndarray
+    decide: functools.partial | None
 
     def receive(self, h: np.ndarray, phase: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """y = h*u + ``noise`` for the samples u of alphabet indices ``phase``
@@ -239,27 +236,32 @@ class _PointPlan:
 
     def pairs(self, y: np.ndarray, h: np.ndarray) -> tuple:
         """Detector pairs of y: (y, h) when coherent, else (y[k1], y[k2])."""
-        if self.frame is None:
-            return y, h[:, None]
-        return y[:, 1:], y[:, self.k2]
+        return (y, h[:, None]) if self.frame is None else (y[:, 1:], y[:, self.k2])
 
 
 def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPlan:
-    """The plan of one SNR point; ``epsilons`` defaults to `_point_epsilons`."""
-    epsilons = tuple(_point_epsilons(cfg, snr_db) if epsilons is None else epsilons)
-    points = make_alphabet(cfg.m).points
-    if cfg.detector == "coherent":
+    """The plan of one SNR point; ``epsilons``, if given, replaces the relay error rates."""
+    snrs, points = cfg.link_snrs(snr_db), make_alphabet(cfg.m).points
+    if cfg.detector == "coherent":  # the branch-floor rule on (y, h) pairs
         fc, k2, scale, rows = None, None, 1.0, np.zeros(cfg.k_frame, int)
         tx = points = math.sqrt(cfg.p_s) * points
-        etas = np.array([relay_reliability(e, cfg.m) for e in epsilons])
+        rate = functools.partial(analysis.coherent_mpsk_rayleigh_ser, cfg.p_s * snrs[1], cfg.m)
+        eta, kernel = functools.partial(relay_reliability, m=cfg.m), detectors.nmld_detect_batch
     else:
         fc = cfg.frame_config()
         k2 = slice(0, cfg.k_frame) if cfg.l_block == 1 else fc.pair_positions()[1]
         scale = np.where(fc.ref_mask()[1:], 1.0, fc.power.ns_scale)  # sqrt(rho_t/rho_r) per pair
         tx, rows = _transmit_table(fc)
-        etas = np.array([analysis.eta_threshold(e, cfg.m, scale**2, 1.0) for e in epsilons])
+        rate = functools.partial(analysis.relay_epsilon, fc.power, cfg.l_block, snrs[1], cfg.m)
+        eta = functools.partial(analysis.eta_threshold, m=cfg.m, rho_t=scale**2, rho_r=1.0)
+        kernel = getattr(detectors, f"{cfg.detector}_detect_batch", None)  # None: relay-only
+    if epsilons is None:
+        epsilons = [clamp_epsilon(rate())] * cfg.n_relays if cfg.n_relays else ()
+    epsilons, etas = tuple(epsilons), np.array([eta(e) for e in epsilons])
+    bound = {"epsilons": epsilons} if kernel is detectors.amld_detect_batch else {"etas": etas}
+    decide = kernel and functools.partial(kernel, scale=scale, points=points, **bound)
     base = np.arange(_block_frames(cfg.k_frame))[:, None] * tx.size + rows
-    return _PointPlan(cfg.link_snrs(snr_db), fc, points, tx, base, k2, scale, epsilons, etas)
+    return _PointPlan(snrs, fc, points, tx, base, k2, scale, epsilons, etas, decide)
 
 
 def _block_frames(k_frame: int) -> int:
@@ -295,7 +297,7 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
     g_sd, g_sr, g_rd = plan.snrs  # fading: S-D, then S-R_i, then R-D_i
     h = [complex_normal(rng, v, size=n_frames) for v in (g_sd, *(g_sr,) * n, *(g_rd,) * n)]
     h_sd, h_sr, h_rd = h[0], h[1:n + 1], h[n + 1:]
-    relay_only = cfg.detector == "relay-only"
+    relay_only = plan.decide is None  # relay-only: no destination
     step, width = plan.base.shape  # frames per block, samples per frame
     shape = (n_frames, width)
     blocks = [slice(lo, lo + step) for lo in range(0, n_frames, step)]
@@ -328,13 +330,7 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
 
     for b in blocks:
         sd, *rd = (plan.pairs(y_j[b], h_j[b]) for y_j, h_j in zip(y, (h_sd, *h_rd)))
-        args = (*sd, [p[0] for p in rd], [p[1] for p in rd], plan.scale)
-        if cfg.detector == "amld":
-            det[b] = detectors.amld_detect_batch(*args, plan.epsilons, plan.points, ws)
-        elif cfg.detector == "pld":
-            det[b] = detectors.pld_detect_batch(*args, plan.etas, plan.points, ws)
-        else:  # nmld, and coherent: the same branch-floor rule on (y, h) pairs
-            det[b] = detectors.nmld_detect_batch(*args, plan.etas, plan.points, ws)
+        det[b] = plan.decide(*sd, [p[0] for p in rd], [p[1] for p in rd], ws=ws)
     return det != info
 
 

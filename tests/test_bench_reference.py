@@ -18,15 +18,18 @@ import pytest
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _workloads():
-    """`bench/workloads.py`, imported once under a name of its own."""
-    module = sys.modules.get("bench_workloads")
+def _bench_module(name):
+    """`bench/<name>.py`, imported once under a name of its own."""
+    module = sys.modules.get(f"bench_{name}")
     if module is None:
-        spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                      BENCH_DIR / "workloads.py")
-        module = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
+        spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
+        module = sys.modules[f"bench_{name}"] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)  # its dataclasses look their module up by name
     return module
+
+
+def _workloads():
+    return _bench_module("workloads")
 
 
 @pytest.mark.parametrize("seed", [0, 255])
@@ -36,6 +39,27 @@ def test_pass_matches_reference(workload, seed):
         want = json.load(fh)["seeds"][str(seed)]
     got = _workloads().build(workload, seed).run_pass().outcomes
     assert got == want
+
+
+def test_traced_pass_sees_every_layer():
+    # the benchmark's tracer times each layer through the attributes it swaps, so a
+    # kernel or draw the program reaches some other way would read 0 in its metrics
+    with open(BENCH_DIR / "reference" / "dm-relays.json") as fh:
+        ref = json.load(fh)
+    tracer = _bench_module("tracing").Tracer()
+    with tracer.installed():
+        got = _workloads().build("dm-relays", 0).run_pass().outcomes
+    assert got == ref["seeds"]["0"]
+    # the coherent reference runs the nmld kernel, so only its own target is absent
+    assert tracer.absent == ["gdmrelay.detectors.coherent_detect_batch"]
+    for key, count in ref["counts"].items():  # samples, substreams and batches
+        assert tracer.stats[key] == count, key
+    for kind in ("nmld", "amld", "pld"):
+        decided = sum(v[0] for op, v in got.items() if op.startswith(f"{kind}."))
+        assert decided == 325_120
+        assert tracer.stats[f"detectors.{kind}.symbols"] == decided, kind
+    # each of the three relays decides every symbol of the three sweeps
+    assert tracer.stats["detectors.relay.symbols"] == 3 * 3 * 325_120
 
 
 def test_closed_form_pass_matches_reference():

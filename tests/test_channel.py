@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,15 @@ class TestRandomStreams:
     def test_size_equal_to_out_shape_is_accepted(self):
         out = np.empty(3, complex)
         assert complex_normal(substream(3, 1), 1.0, 3, out=out).shape == (3,)
+
+    @pytest.mark.parametrize("var", [-1.0, 0.0, math.nan, math.inf, np.array([1.0, -1.0])])
+    @pytest.mark.parametrize("out", [False, True])
+    def test_rejects_a_variance_that_is_not_finite_and_positive(self, var, out):
+        rng = substream(3, 1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="need a finite var > 0"):
+            complex_normal(rng, var, 3, out=np.empty(3, complex) if out else None)
+        assert rng.bit_generator.state == state  # nothing drawn
 
 
 class TestEffectiveSnr:

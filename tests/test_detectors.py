@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gdmrelay import detectors
 from gdmrelay.channel import substream
 from gdmrelay.detectors import (
     DetectionContext,
@@ -293,6 +294,46 @@ class TestOperationCounts:
         counter = OpCounter()
         nmld_detect(ctx, alphabet, counter=counter)
         assert counter.snapshot() == count_ops("nmld", m, n)
+
+
+class CountingNumpy:
+    """numpy with every attribute forwarded; counts the elements passed to exp and log."""
+
+    def __init__(self):
+        self.elements = {"exp": 0, "log": 0}
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.elements:
+            return attr
+
+        def counted(x, *args, **kwargs):
+            self.elements[name] += np.size(x)
+            return attr(x, *args, **kwargs)
+        return counted
+
+
+class TestAmldBatchCost:
+    """`amld_detect_batch`'s transcendental cost, counted rather than timed: the
+    sum-over-u mixture takes M*N exp and M*N log per symbol, where the paper's
+    formulation (`OP_COUNTS`, the scalar `amld_detect`) is O(M^2 N)."""
+
+    @pytest.mark.parametrize("m", [2, 8, 64])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_m_times_n_exp_and_log_per_symbol(self, monkeypatch, m, n):
+        rng = substream(108, m, n)
+        shape = (4, 9)  # frames, symbols per frame
+
+        def y(*relays):
+            return rng.standard_normal((*relays, *shape)) + 1j * rng.standard_normal(
+                (*relays, *shape))
+
+        counting = CountingNumpy()
+        monkeypatch.setattr(detectors, "np", counting)
+        got = amld_detect_batch(y(), y(), y(n), y(n), np.full(9, 0.8), [0.01] * n,
+                                make_alphabet(m).points, {})
+        assert got.size == 36
+        assert counting.elements == {"exp": m * n * 36, "log": m * n * 36}
 
 
 class TestBatchEquivalence:

@@ -106,6 +106,16 @@ class TestWilson:
     def test_empty_sample(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("z", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_a_z_that_is_not_finite_and_positive(self, z):
+        with pytest.raises(ValueError, match="need a finite z > 0"):
+            wilson_interval(3, 10, z=z)
+
+    def test_default_z_values_are_unchanged(self):
+        # the default z, which criterion 4 uses, gives these values bit for bit
+        assert wilson_interval(50, 1000) == (0.038130262311297014, 0.06531382037982765)
+        assert wilson_interval(3, 10) == (0.10779126655639398, 0.6032218546540291)
+
 
 class TestRunFrame:
     """Seeded frames end to end, with the destination's relay error rates given."""
