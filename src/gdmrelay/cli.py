@@ -172,7 +172,10 @@ def _cmd_analyze(args) -> int:
     for snr_db in args.snr:  # every row is computed before anything is printed
         g = db_to_linear(snr_db)
         eps = analysis.relay_epsilon(pa, args.L, g, args.mod)
-        eta = analysis.eta_threshold(max(eps, EPSILON_FLOOR), args.mod, pa.rho_r, pa.rho_r)
+        try:  # eps >= 1/2 at low SNR
+            eta = analysis.eta_threshold(max(eps, EPSILON_FLOOR), args.mod, pa.rho_r, pa.rho_r)
+        except ValueError as exc:
+            raise ValueError(f"at {snr_db:g} dB: {exc}") from None
         pc = analysis.ser_avg_error_free(args.relays, args.mod, eps, eta, pa.p_s * g)
         pe = analysis.ser_avg_erroneous(args.relays, args.mod, eps, eta, pa.p_s * g)
         total = min(pc + pe, 1.0)

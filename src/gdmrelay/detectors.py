@@ -145,10 +145,7 @@ class OpCounter:
     __slots__ = ("additions", "multiplications", "max_min_ops", "exp_log_ops")
 
     def __init__(self):
-        self.additions = 0
-        self.multiplications = 0
-        self.max_min_ops = 0
-        self.exp_log_ops = 0
+        self.additions = self.multiplications = self.max_min_ops = self.exp_log_ops = 0
 
     def direct_distance(self, count: int = 1):
         self.additions += 8 * count

@@ -6,10 +6,10 @@ accumulating symbol error counts until a stop rule is met.
 
 One pipeline (`_simulate_batch`) serves the differential schemes and the
 coherent reference.  `_point_plan` builds an SNR point's invariants once and is
-the one branch on the scheme and the rule: it fixes the relay error rates, the
-thresholds and the destination's kernel (`_PointPlan.decide`).  The encoder
-(`_encode_batch`) and the detector pairs (`_PointPlan.pairs`: (y[k1], y[k2]),
-or (y, h) if coherent) read the scheme from the plan.
+the one branch on the scheme, the rule and the relay mode: it fixes the relay
+error rates, the thresholds and the kernels, bound with their per-point
+arguments (`_PointPlan.relay` for the relays `.decides` flags, and `.decide`).
+The encoder and the detector pairs (`_PointPlan.pairs`) read the scheme from it.
 
 A batch draws the info symbols and the fading, then runs one stage per link in
 draw order (S-D, then S-R_i and R-D_i per relay): it draws the link's noise
@@ -59,6 +59,7 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import threading
 import time
 from dataclasses import dataclass, asdict
@@ -205,13 +206,14 @@ def _point_epsilons(cfg: ExperimentConfig, snr_db: float) -> list[float]:
 class _PointPlan:
     """Invariants of one SNR point, built once by `_point_plan` and shared by every batch.
 
-    ``frame`` is None for the coherent reference, whose ``points`` carry the amplitude
-    sqrt(p_s); ``snrs`` are `ExperimentConfig.link_snrs`, ``epsilons`` the relay error rates
-    the destination assumes, ``etas`` the branch-floor thresholds per relay
-    (`analysis.eta_threshold` per pair, or `relay_reliability` if coherent) and ``decide``
-    the destination's kernel, all but its pairs and workspace bound (None for relay-only).
+    ``frame`` is None for the coherent reference; ``snrs`` are `ExperimentConfig.link_snrs`,
+    ``epsilons`` the relay error rates the destination assumes and ``etas`` the branch-floor
+    thresholds per relay (`analysis.eta_threshold` per pair, or `relay_reliability` if
+    coherent).  ``relay`` (`detectors.relay_detect_batch`, run by relay i if ``decides[i]``;
+    relay-only flags relay 1 alone) and ``decide`` (the destination's kernel, None for
+    relay-only) have all but their pairs and workspace bound: the scale, points, and ε or η.
     Stages carry alphabet indices (`_encode_batch`).  ``tx`` is the table of transmitted
-    points (`modulation._transmit_table`; ``points`` if coherent), and ``base[f, k]`` is
+    points (`modulation._transmit_table`; the points if coherent), and ``base[f, k]`` is
     ``f * tx.size`` plus position k's row offset (0 if coherent): the index of frame f's
     sample k in a block's table h*tx.  Its frame count is the block size.  ``k2`` is the
     pair partners: the slice 0..K-1 at L=1, so y[k2] gathers only at L > 1.
@@ -219,13 +221,13 @@ class _PointPlan:
 
     snrs: tuple
     frame: GdmFrameConfig | None
-    points: np.ndarray
     tx: np.ndarray
     base: np.ndarray
     k2: np.ndarray | slice | None
-    scale: np.ndarray | float
     epsilons: tuple
     etas: np.ndarray
+    decides: tuple
+    relay: functools.partial
     decide: functools.partial | None
 
     def receive(self, h: np.ndarray, phase: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -242,6 +244,7 @@ class _PointPlan:
 def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPlan:
     """The plan of one SNR point; ``epsilons``, if given, replaces the relay error rates."""
     snrs, points = cfg.link_snrs(snr_db), make_alphabet(cfg.m).points
+    relay_only = cfg.detector == "relay-only"  # relay 1 decides, genie mode or not
     if cfg.detector == "coherent":  # the branch-floor rule on (y, h) pairs
         fc, k2, scale, rows = None, None, 1.0, np.zeros(cfg.k_frame, int)
         tx = points = math.sqrt(cfg.p_s) * points
@@ -254,14 +257,17 @@ def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPl
         tx, rows = _transmit_table(fc)
         rate = functools.partial(analysis.relay_epsilon, fc.power, cfg.l_block, snrs[1], cfg.m)
         eta = functools.partial(analysis.eta_threshold, m=cfg.m, rho_t=scale**2, rho_r=1.0)
-        kernel = getattr(detectors, f"{cfg.detector}_detect_batch", None)  # None: relay-only
+        kernel = None if relay_only else getattr(detectors, f"{cfg.detector}_detect_batch")
     if epsilons is None:
         epsilons = [clamp_epsilon(rate())] * cfg.n_relays if cfg.n_relays else ()
     epsilons, etas = tuple(epsilons), np.array([eta(e) for e in epsilons])
     bound = {"epsilons": epsilons} if kernel is detectors.amld_detect_batch else {"etas": etas}
     decide = kernel and functools.partial(kernel, scale=scale, points=points, **bound)
+    relay = functools.partial(detectors.relay_detect_batch, scale=scale, points=points)
+    forced = {"genie-all": cfg.n_relays, "genie-r": cfg.genie_r}.get(cfg.relay_mode, 0)
+    decides = (True,) if relay_only else tuple(i >= forced for i in range(cfg.n_relays))
     base = np.arange(_block_frames(cfg.k_frame))[:, None] * tx.size + rows
-    return _PointPlan(snrs, fc, points, tx, base, k2, scale, epsilons, etas, decide)
+    return _PointPlan(snrs, fc, tx, base, k2, epsilons, etas, decides, relay, decide)
 
 
 def _block_frames(k_frame: int) -> int:
@@ -312,14 +318,11 @@ def _simulate_batch(cfg: ExperimentConfig, plan: _PointPlan,
         phase[b] = _encode_batch(plan, info[b])
         if not relay_only:
             plan.receive(h_sd[b], phase[b], y[0][b])
-    forced = {"genie-all": n, "genie-r": cfg.genie_r}.get(cfg.relay_mode, 0)
-    for i in range(n):  # relay i decides every block before the R-D_i draw takes its buffer
-        decides = relay_only or i >= forced  # relay-only: relay 1 decides, genie mode or not
+    for i, decides in enumerate(plan.decides):  # relay i decides before R-D_i takes its buffer
         complex_normal(rng, 1.0, out=y[i + 1], scratch=scratch)  # S-R_i
         for b in blocks if decides else ():
             y_sr = plan.receive(h_sr[i][b], phase[b], y[i + 1][b])
-            det[b] = detectors.relay_detect_batch(*plan.pairs(y_sr, h_sr[i][b]),
-                                                  plan.scale, plan.points, ws)
+            det[b] = plan.relay(*plan.pairs(y_sr, h_sr[i][b]), ws=ws)
         if relay_only:
             return det != info
         complex_normal(rng, 1.0, out=y[i + 1], scratch=scratch)  # R-D_i
@@ -357,8 +360,7 @@ def _run_point(cfg: ExperimentConfig, point_index: int, mapper) -> PointResult:
     # one before it is used up without meeting the stop rule
     counts = itertools.chain.from_iterable(
         mapper(run, range(i, min(i + step, n_batches))) for i in range(0, n_batches, step))
-    errors = 0
-    symbols = 0
+    errors = symbols = 0
     for e, s in counts:
         errors += e
         symbols += s
@@ -387,9 +389,8 @@ def run_ser_experiment(cfg: ExperimentConfig) -> SimResult:
     finally:
         vars(_SLOT).clear()
     elapsed = time.perf_counter() - t0
-    ops = None
-    if cfg.detector in OP_COUNTS and cfg.n_relays >= 1:
-        ops = count_ops(cfg.detector, cfg.m, cfg.n_relays).total
+    ops = (count_ops(cfg.detector, cfg.m, cfg.n_relays).total
+           if cfg.detector in OP_COUNTS and cfg.n_relays >= 1 else None)
     return SimResult(points=points, config=cfg, elapsed_s=elapsed, ops_per_symbol=ops)
 
 
@@ -526,8 +527,6 @@ def reproduce_figure(figure_id: str, scale: str = "desk", out_dir=None,
     _count(0, master_seed=master_seed)
     if scale not in ("desk", "full"):
         raise ValueError("scale must be 'desk' or 'full'")
-    import pathlib
-
     out = pathlib.Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -544,8 +543,7 @@ def reproduce_figure(figure_id: str, scale: str = "desk", out_dir=None,
     runs = FIGURE_PRESETS[figure_id](scale, master_seed)
     results = {}
     for name, cfg in runs.items():
-        res = run_ser_experiment(cfg)
-        results[name] = res
+        results[name] = res = run_ser_experiment(cfg)
         if out is not None:
             write_csv(res, out / f"{figure_id}_{name}.csv")
             write_json(res, out / f"{figure_id}_{name}.json")

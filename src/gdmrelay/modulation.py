@@ -6,9 +6,9 @@ symbol (RS), transmitted with power ``rho_r``; the remaining L-1 normal
 symbols (NS) are transmitted with power ``rho_n``.  Each symbol k1 = 1..K is
 differentially chained to one earlier sample k2, the pair rule that
 `GdmFrameConfig.pair_positions` states: an RS to the previous block's RS, an
-NS to its own block head.  The encoder, the noiseless decoder and the
-detectors' sample pairs all derive from it.  Block length L=1 with equal
-powers reduces to classical differential PSK.
+NS to its own block head.  The decoder and the detectors' sample pairs read
+it; the encoder (`_phase_indices`) builds the same chain block by block, as
+the round-trip tests pin.  L=1 with equal powers is classical differential PSK.
 
 Symbols are kept as alphabet indices (1..M); complex values are derived on
 demand so that differential products never accumulate floating-point phase

@@ -1,14 +1,14 @@
 """Microbenchmarks of the batch detection kernels and of whole batches (pytest-benchmark).
 
-The kernel benchmarks time one 256-frame batch of N=3 relays, M=4, K=127,
-with the pair layout, scales and thresholds the harness builds at 18 dB, and
-one reused workspace, as the harness calls them.  The batch benchmarks time
-`harness._simulate_batch` at the shapes of the two gated benchmark workloads
-and at one large-alphabet shape (M=64), where the per-block score arrays grow
-with M, and record in ``extra_info`` the minor page faults per batch
-(``ru_minflt``), the bytes the batch workspace holds and the traced peak bytes
-of one batch started from an empty workspace, so allocator churn, footprint
-and the block size show.
+The kernel benchmarks time one 256-frame batch of N=3 relays, M=4, K=127 at
+18 dB through the kernels the harness's point plans bind (`_PointPlan.relay`
+and each detector's `_PointPlan.decide`), with one reused workspace, as the
+harness calls them.  The batch benchmarks time `harness._simulate_batch` at
+the shapes of the two gated benchmark workloads and at one large-alphabet
+shape (M=64), where the per-block score arrays grow with M, and record in
+``extra_info`` the minor page faults per batch (``ru_minflt``), the bytes the
+batch workspace holds and the traced peak bytes of one batch started from an
+empty workspace, so allocator churn, footprint and the block size show.
 The cold-start benchmark times ``import gdmrelay`` in fresh interpreters and
 records the modules loaded and the peak RSS in ``extra_info``, so an
 import-time regression shows.  The two-worker benchmark times a
@@ -21,6 +21,7 @@ name keeps it out of the default test run; run it with
 `test_perf_file.py` runs it once with timing off, so it keeps up with the API.
 """
 
+import dataclasses
 import json
 import os
 import resource
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from gdmrelay import detectors, harness
+from gdmrelay import harness
 from gdmrelay.channel import substream
 
 pytest.importorskip("pytest_benchmark")
@@ -43,7 +44,9 @@ N, M, K, FRAMES, SNR_DB = 3, 4, 127, harness.BATCH_FRAMES, 18.0
 def batch():
     cfg = harness.ExperimentConfig(n_relays=N, m=M, k_frame=K, l_block=1, detector="nmld",
                                    snr_grid_db=(SNR_DB,))
-    plan = harness._point_plan(cfg, SNR_DB)
+    plans = {kind: harness._point_plan(dataclasses.replace(cfg, detector=kind), SNR_DB)
+             for kind in ("nmld", "amld", "pld")}
+    plan = plans["nmld"]
     rng = substream(5, 0)
     gain = 10.0 ** (SNR_DB / 20.0)
     pairs = []
@@ -55,28 +58,18 @@ def batch():
         for lo in range(0, FRAMES, step):
             plan.receive(h[lo:lo + step], phase[lo:lo + step], y[lo:lo + step])
         pairs.append(plan.pairs(y, h))
-    args = (*pairs[0], [p[0] for p in pairs[1:]], [p[1] for p in pairs[1:]], plan.scale)
-    return plan, pairs, args
+    return plans, pairs
 
 
 def test_relay(benchmark, batch):
-    plan, pairs, _ = batch
-    benchmark(detectors.relay_detect_batch, *pairs[1], plan.scale, plan.points, {})
+    plans, pairs = batch
+    benchmark(plans["nmld"].relay, *pairs[1], ws={})
 
 
-def test_nmld(benchmark, batch):
-    plan, _, args = batch
-    benchmark(detectors.nmld_detect_batch, *args, plan.etas, plan.points, {})
-
-
-def test_amld(benchmark, batch):
-    plan, _, args = batch
-    benchmark(detectors.amld_detect_batch, *args, plan.epsilons, plan.points, {})
-
-
-def test_pld(benchmark, batch):
-    plan, _, args = batch
-    benchmark(detectors.pld_detect_batch, *args, plan.etas, plan.points, {})
+@pytest.mark.parametrize("kind", ["nmld", "amld", "pld"])
+def test_decide(benchmark, batch, kind):
+    plans, (sd, *rd) = batch
+    benchmark(plans[kind].decide, *sd, [p[0] for p in rd], [p[1] for p in rd], ws={})
 
 
 # the sweeps of the gated benchmark workloads, at one of their SNR points, and a

@@ -241,6 +241,11 @@ class TestConditionalSingle:
         assert p.erroneous == 2 * 0.01 * 0.5 + 2 * 0.01 / 3
         assert p.value == p.error_free + p.erroneous
 
+    def test_rejects_unknown_symbol_type(self):
+        eta = eta_threshold(0.01, 4, 1.0, 1.0)
+        with pytest.raises(ValueError, match="symbol_type must be 'R' or 'N'"):
+            ser_conditional_single(10.0, 10.0, 0.01, eta, self.pa, 4, symbol_type="X")
+
     def test_symbol_type_changes_effective_power(self):
         pa = optimize_power(16).as_allocation()
         eta_r = eta_threshold(0.01, 4, pa.rho_r, pa.rho_r)

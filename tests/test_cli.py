@@ -188,6 +188,17 @@ class TestDiversity:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("argv, snr", [
+        (["--mod", "8"], "0"),  # the default grid 0:5:30; eps >= 1/2 below about 6.3 dB
+        (["--mod", "8", "--snr", "30,6,0"], "6"),
+        (["--mod", "16", "--snr", "10:1:14"], "10"),  # below about 12.4 dB at M=16
+    ], ids=["m8-default-grid", "m8-list", "m16-range"])
+    def test_refusal_names_the_first_refused_snr(self, argv, snr, capsys):
+        assert main(["analyze", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: at {snr} dB: epsilon must lie in (0, 1/2), got 0.")
+
     def test_block_length_other_than_one_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--L", "16", "--snr", "10"])
@@ -257,6 +268,28 @@ class TestSimulate:
         data = json.loads((tmp_path / f"{stem}.json").read_text())
         assert data["config"]["master_seed"] == 3
 
+    @pytest.mark.parametrize("flags, exts", [
+        ([], (".csv", ".dat")),
+        (["--json"], (".json", ".dat")),
+        (["--csv", "--json"], (".csv", ".json", ".dat")),
+    ], ids=["default", "json", "csv-json"])
+    def test_out_dir_files(self, flags, exts, tmp_path, capsys):
+        assert main(self.ARGS + ["--out-dir", str(tmp_path), *flags]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"ser_nmld_n1_m4_l1{ext}" for ext in exts)
+
+    def test_default_csv_matches_stdout(self, tmp_path, capsys):
+        assert main(self.ARGS + ["--out-dir", str(tmp_path)]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[2].split()
+        lines = (tmp_path / "ser_nmld_n1_m4_l1.csv").read_text().splitlines()
+        echo = [line for line in lines if line.startswith("# ")]
+        assert lines[:len(echo)] == echo and "# master_seed=3" in echo
+        assert lines[len(echo)] == "snr_db,symbols,errors,ser,ci_lo,ci_hi"
+        assert len(lines) == len(echo) + 2
+        got = lines[-1].split(",")
+        assert float(got[0]) == float(row[0]) and got[1:3] == row[1:3]
+        assert int(got[1]) == 40 * 15
+
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"K": 31, "snr": "12"}))
@@ -293,6 +326,14 @@ class TestSimulate:
         out = capsys.readouterr().out.strip().splitlines()
         assert "detector=pld relays=2" in out[0]
         assert [row.split()[0] for row in out[2:]] == ["8", "12.5"]
+
+    def test_config_array_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps([{"K": 31}]))
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
 
     def test_config_bad_json_exits_2(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -274,6 +274,10 @@ class TestOperationCounts:
         c = count_ops(*key)
         assert (c.additions, c.multiplications, c.max_min_ops, c.exp_log_ops) == expected
 
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown detector kind 'viterbi'"):
+            count_ops("viterbi", 4, 2)
+
     def test_totals_and_saving(self):
         amld = count_ops("amld", 8, 12).total
         nmld = count_ops("nmld", 8, 12).total

@@ -48,6 +48,10 @@ class TestConfig:
             with pytest.raises(ValueError, match="genie_r"):
                 small_cfg(n_relays=2, relay_mode=mode, genie_r=2)
 
+    def test_rejects_unknown_relay_mode(self):
+        with pytest.raises(ValueError, match="unknown relay mode 'bogus'"):
+            small_cfg(relay_mode="bogus")
+
     def test_rejects_non_increasing_grid(self):
         with pytest.raises(ValueError):
             small_cfg(snr_grid_db=(10.0, 10.0))
@@ -176,6 +180,36 @@ class TestPointPlan:
             np.testing.assert_array_equal(y2, y[:, k2])
             assert np.shares_memory(y1, y)
             assert np.shares_memory(y2, y) == (l_block == 1)
+
+
+class TestRelayStage:
+    @pytest.mark.parametrize("kw, decides", [
+        (dict(), (True, True, True)),
+        (dict(relay_mode="genie-all"), (False, False, False)),
+        (dict(relay_mode="genie-r", genie_r=1), (False, True, True)),
+        (dict(relay_mode="genie-all", detector="relay-only"), (True,)),
+    ], ids=["realistic", "genie-all", "genie-r", "relay-only-genie-all"])
+    def test_plan_settles_which_relays_decide(self, kw, decides):
+        # relay-only runs relay 1 alone, and it decides in every relay mode
+        plan = harness._point_plan(small_cfg(n_relays=3, **kw), 10.0)
+        assert plan.decides == decides
+        assert plan.relay.func is harness.detectors.relay_detect_batch
+        assert (plan.decide is None) == (kw.get("detector") == "relay-only")
+
+    def test_batch_reads_the_relay_stage_from_the_plan(self):
+        # a batch follows its plan's relay roles and kernels, whatever its config says
+        genie = small_cfg(n_relays=2, relay_mode="genie-all")
+        plan = harness._point_plan(genie, 10.0)
+        for cfg in (genie, small_cfg(n_relays=2), small_cfg(n_relays=2, detector="pld")):
+            got = harness._simulate_batch(cfg, plan, substream(5, 0, 0), 20)
+            np.testing.assert_array_equal(got, _batch(genie, 20, 0))
+
+    def test_kind_without_a_batch_kernel_is_refused(self, monkeypatch):
+        # only "relay-only" runs without a destination: any other kind needs its kernel
+        monkeypatch.setattr(harness, "DETECTOR_KINDS", (*harness.DETECTOR_KINDS, "viterbi"))
+        cfg = small_cfg(detector="viterbi")
+        with pytest.raises(AttributeError, match="viterbi_detect_batch"):
+            harness._point_plan(cfg, 10.0)
 
 
 class TestReceive:
@@ -424,7 +458,7 @@ class TestGenieRelays:
         calls = []
         detect = harness.detectors.relay_detect_batch
         monkeypatch.setattr(harness.detectors, "relay_detect_batch",
-                            lambda *a: calls.append(1) or detect(*a))
+                            lambda *a, **kw: calls.append(1) or detect(*a, **kw))
         monkeypatch.setattr(harness, "BLOCK_SYMBOLS", 8 * 16)  # blocks of 8 frames
         _batch(small_cfg(n_relays=3, **kw), 40, 0)
         assert len(calls) == 5 * per_block
@@ -475,6 +509,11 @@ class TestFigurePresets:
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError):
             reproduce_figure("fig99")
+
+    def test_unknown_scale_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="scale must be 'desk' or 'full'"):
+            reproduce_figure("fig3", scale="huge", out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_opcount_figure_writes_data(self, tmp_path):
         out = reproduce_figure("fig4a", out_dir=tmp_path)
