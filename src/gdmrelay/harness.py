@@ -7,9 +7,8 @@ accumulating symbol error counts until a stop rule is met.
 One pipeline (`_simulate_batch`) serves the differential schemes and the
 coherent reference.  `_point_plan` builds an SNR point's invariants once and is
 the one branch on the scheme, the rule and the relay mode: it fixes the relay
-error rates, the thresholds and the kernels, bound with their per-point
-arguments (`_PointPlan.relay` for the relays `.decides` flags, and `.decide`).
-The encoder and the detector pairs (`_PointPlan.pairs`) read the scheme from it.
+error rates and thresholds, and binds the encoder, the pair maker and the kernels
+(`_PointPlan.encode`, `.pairs`, `.relay` for the relays `.decides` flags, `.decide`).
 
 A batch draws the info symbols and the fading, then runs one stage per link in
 draw order (S-D, then S-R_i and R-D_i per relay): it draws the link's noise
@@ -62,6 +61,7 @@ import os
 import pathlib
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -121,6 +121,8 @@ class ExperimentConfig:
         if self.relay_mode not in RELAY_MODES:
             raise ValueError(f"unknown relay mode {self.relay_mode!r}")
         _count(1 if self.detector == "relay-only" else 0, n_relays=self.n_relays)
+        if self.detector == "relay-only" and self.relay_mode != "realistic":  # relay 1 decides
+            raise ValueError(f"relay-only needs relay_mode 'realistic', got {self.relay_mode!r}")
         _count(0, self.n_relays if self.relay_mode == "genie-r" else 0, genie_r=self.genie_r)
         _count(1, k_frame=self.k_frame, l_block=self.l_block, min_errors=self.min_errors,
                max_frames=self.max_frames, workers=self.workers)
@@ -212,18 +214,19 @@ class _PointPlan:
     coherent).  ``relay`` (`detectors.relay_detect_batch`, run by relay i if ``decides[i]``;
     relay-only flags relay 1 alone) and ``decide`` (the destination's kernel, None for
     relay-only) have all but their pairs and workspace bound: the scale, points, and ε or η.
-    Stages carry alphabet indices (`_encode_batch`).  ``tx`` is the table of transmitted
-    points (`modulation._transmit_table`; the points if coherent), and ``base[f, k]`` is
-    ``f * tx.size`` plus position k's row offset (0 if coherent): the index of frame f's
-    sample k in a block's table h*tx.  Its frame count is the block size.  ``k2`` is the
-    pair partners: the slice 0..K-1 at L=1, so y[k2] gathers only at L > 1.
+    ``encode`` (called by `_encode_batch`) is `modulation._phase_indices` with ``frame`` bound,
+    or info - 1 if coherent; ``pairs(y, h)`` makes the detector pairs: (y[k1], y[k2]), views
+    of y at L=1, or (y, h) if coherent.  ``tx`` is the table of transmitted points (the points
+    if coherent), and ``base[f, k]`` is ``f * tx.size`` plus position k's row offset (0 if
+    coherent): the index of frame f's sample k in a block's table h*tx, for a block's frames.
     """
 
     snrs: tuple
     frame: GdmFrameConfig | None
     tx: np.ndarray
     base: np.ndarray
-    k2: np.ndarray | slice | None
+    encode: Callable
+    pairs: Callable
     epsilons: tuple
     etas: np.ndarray
     decides: tuple
@@ -236,23 +239,21 @@ class _PointPlan:
         noise += (h[:, None] * self.tx).take(self.base[:len(h)] + phase)  # the bits of h*u
         return noise
 
-    def pairs(self, y: np.ndarray, h: np.ndarray) -> tuple:
-        """Detector pairs of y: (y, h) when coherent, else (y[k1], y[k2])."""
-        return (y, h[:, None]) if self.frame is None else (y[:, 1:], y[:, self.k2])
-
 
 def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPlan:
     """The plan of one SNR point; ``epsilons``, if given, replaces the relay error rates."""
     snrs, points = cfg.link_snrs(snr_db), make_alphabet(cfg.m).points
-    relay_only = cfg.detector == "relay-only"  # relay 1 decides, genie mode or not
+    relay_only = cfg.detector == "relay-only"  # relay 1 alone decides
     if cfg.detector == "coherent":  # the branch-floor rule on (y, h) pairs
-        fc, k2, scale, rows = None, None, 1.0, np.zeros(cfg.k_frame, int)
+        fc, scale, rows = None, 1.0, np.zeros(cfg.k_frame, int)
+        encode, pairs = (lambda info: info - 1), (lambda y, h: (y, h[:, None]))
         tx = points = math.sqrt(cfg.p_s) * points
         rate = functools.partial(analysis.coherent_mpsk_rayleigh_ser, cfg.p_s * snrs[1], cfg.m)
         eta, kernel = functools.partial(relay_reliability, m=cfg.m), detectors.nmld_detect_batch
     else:
         fc = cfg.frame_config()
         k2 = slice(0, cfg.k_frame) if cfg.l_block == 1 else fc.pair_positions()[1]
+        encode, pairs = functools.partial(_phase_indices, cfg=fc), lambda y, h: (y[:, 1:], y[:, k2])
         scale = np.where(fc.ref_mask()[1:], 1.0, fc.power.ns_scale)  # sqrt(rho_t/rho_r) per pair
         tx, rows = _transmit_table(fc)
         rate = functools.partial(analysis.relay_epsilon, fc.power, cfg.l_block, snrs[1], cfg.m)
@@ -267,7 +268,7 @@ def _point_plan(cfg: ExperimentConfig, snr_db: float, epsilons=None) -> _PointPl
     forced = {"genie-all": cfg.n_relays, "genie-r": cfg.genie_r}.get(cfg.relay_mode, 0)
     decides = (True,) if relay_only else tuple(i >= forced for i in range(cfg.n_relays))
     base = np.arange(_block_frames(cfg.k_frame))[:, None] * tx.size + rows
-    return _PointPlan(snrs, fc, tx, base, k2, epsilons, etas, decides, relay, decide)
+    return _PointPlan(snrs, fc, tx, base, encode, pairs, epsilons, etas, decides, relay, decide)
 
 
 def _block_frames(k_frame: int) -> int:
@@ -278,8 +279,8 @@ def _block_frames(k_frame: int) -> int:
 
 
 def _encode_batch(plan: _PointPlan, info: np.ndarray) -> np.ndarray:
-    """The alphabet indices a link sends for (F, K) info indices, in info's dtype."""
-    return info - 1 if plan.frame is None else _phase_indices(info, plan.frame)
+    """`plan.encode(info)`: a link's alphabet indices, under a name that a tracer wraps."""
+    return plan.encode(info)
 
 
 def _draw_info(rng: np.random.Generator, m: int, shape: tuple) -> np.ndarray:

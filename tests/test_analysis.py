@@ -17,6 +17,7 @@ from gdmrelay.analysis import (
     ser_avg_erroneous,
     ser_conditional_single,
 )
+from gdmrelay.cli import main
 from gdmrelay.detectors import relay_reliability
 from gdmrelay.power import optimize_power
 
@@ -433,6 +434,22 @@ class TestDiversity:
             diversity_with_errors(3)
         with pytest.raises(ValueError):
             diversity_with_errors(3, n_err=1, r_error_free=1)
+
+
+class TestFiniteSnrSlopes:
+    """Slopes of `analyze`'s closed form (M=4, L=1) fitted at finite SNR: even N settle on
+    the diversity order ceil(N/2) + 1 by 26-34 dB, odd N stay below it and climb slowly."""
+
+    SLOPES = {"18:2:26": (1.83, 2.05, 2.85, 2.98, 3.78),
+              "26:2:34": (1.90, 2.02, 2.90, 3.00, 3.88)}
+
+    @pytest.mark.parametrize("grid", SLOPES)
+    def test_fitted_slopes_of_analyze(self, grid, capsys):
+        for n, want in enumerate(self.SLOPES[grid], start=1):
+            assert main(["analyze", "--relays", str(n), "--mod", "4", "--snr", grid]) == 0
+            rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+            slope = fit_diversity_slope([float(r[0]) for r in rows], [float(r[4]) for r in rows])
+            assert slope == pytest.approx(want, abs=0.01), n
 
 
 class TestSlopeFit:

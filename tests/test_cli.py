@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +69,15 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and "workers" in err
         assert err.count("error:") == 1
+
+    @pytest.mark.parametrize("mode", ["genie-all", "genie-r"])
+    def test_relay_only_under_a_genie_returns_3(self, mode, capsys):
+        rc = main(["simulate", "--detector", "relay-only", "--relay-mode", mode, "--snr", "10",
+                   "--frames-max", "10"])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error:")
+        assert "relay_mode" in err
 
     @pytest.mark.parametrize("split", [["--L", "4", "--K", "15"], ["--L", "8", "--K", "16"]])
     def test_coherent_block_length_returns_3(self, split, capsys):
@@ -164,6 +177,17 @@ class TestComplexity:
         assert header == f"# x {' '.join(kinds)} (total ops per symbol)"
         assert first.split()[1:] == [str(count_ops(kind, 2, 1).total) for kind in kinds]
         assert harness.DETECTOR_KINDS == (*kinds, "coherent", "relay-only")
+
+    @pytest.mark.parametrize("argv", [["complexity", "--mod", "4", "--relays", "2"],
+                                      ["complexity", "--relays", "0"]], ids=["ok", "error"])
+    def test_runs_as_a_module(self, argv, capsys):
+        # `python -m gdmrelay.cli` exits with main()'s return code and prints what it prints
+        rc = main(argv)
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "gdmrelay.cli", *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, *capsys.readouterr())
 
 
 class TestDiversity:

@@ -52,6 +52,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown relay mode 'bogus'"):
             small_cfg(relay_mode="bogus")
 
+    @pytest.mark.parametrize("kw", [dict(relay_mode="genie-all"),
+                                    dict(relay_mode="genie-r", genie_r=1)],
+                             ids=["genie-all", "genie-r"])
+    def test_rejects_relay_only_under_a_genie(self, kw):
+        # relay-only reports relay 1's own errors, which a genie label would misname
+        with pytest.raises(ValueError, match="relay-only needs relay_mode 'realistic'"):
+            small_cfg(n_relays=2, detector="relay-only", **kw)
+
     def test_rejects_non_increasing_grid(self):
         with pytest.raises(ValueError):
             small_cfg(snr_grid_db=(10.0, 10.0))
@@ -187,10 +195,10 @@ class TestRelayStage:
         (dict(), (True, True, True)),
         (dict(relay_mode="genie-all"), (False, False, False)),
         (dict(relay_mode="genie-r", genie_r=1), (False, True, True)),
-        (dict(relay_mode="genie-all", detector="relay-only"), (True,)),
-    ], ids=["realistic", "genie-all", "genie-r", "relay-only-genie-all"])
+        (dict(detector="relay-only"), (True,)),
+    ], ids=["realistic", "genie-all", "genie-r", "relay-only"])
     def test_plan_settles_which_relays_decide(self, kw, decides):
-        # relay-only runs relay 1 alone, and it decides in every relay mode
+        # relay-only runs relay 1 alone, and it decides
         plan = harness._point_plan(small_cfg(n_relays=3, **kw), 10.0)
         assert plan.decides == decides
         assert plan.relay.func is harness.detectors.relay_detect_batch
@@ -450,8 +458,8 @@ class TestGenieRelays:
         (dict(), 3),
         (dict(relay_mode="genie-all"), 0),
         (dict(relay_mode="genie-r", genie_r=1), 2),
-        (dict(relay_mode="genie-all", detector="relay-only"), 1),
-    ], ids=["realistic", "genie-all", "genie-r", "relay-only-genie-all"])
+        (dict(detector="relay-only"), 1),
+    ], ids=["realistic", "genie-all", "genie-r", "relay-only"])
     def test_relay_decides_only_when_used(self, kw, per_block, monkeypatch):
         # a genie relay forwards the source's samples, so it makes no decision;
         # relay-only still decides relay 1
@@ -595,7 +603,7 @@ class TestWorkspace:
         (small_cfg(n_relays=2, m=2, relay_mode="genie-all"), 13),
         (small_cfg(n_relays=3, m=8, detector="amld"), 40),
         (small_cfg(n_relays=0, detector="coherent"), 13),
-        (small_cfg(n_relays=2, detector="relay-only", relay_mode="genie-all"), 13),
+        (small_cfg(n_relays=2, detector="relay-only"), 13),
     ]
 
     def test_sequence_matches_fresh_threads(self):
